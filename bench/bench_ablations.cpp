@@ -19,6 +19,7 @@
 
 #include "quamax/anneal/annealer.hpp"
 #include "quamax/common/stats.hpp"
+#include "quamax/sim/knobs.hpp"
 #include "quamax/sim/report.hpp"
 #include "quamax/sim/runner.hpp"
 
@@ -57,9 +58,10 @@ anneal::AnnealerConfig fix_config() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  g_threads = sim::cli_threads(argc, argv);
-  g_replicas = sim::cli_replicas(argc, argv);
-  g_accept_mode = sim::cli_accept_mode(argc, argv);
+  g_threads = sim::knob_count("--threads", argc, argv);
+  g_replicas = sim::knob_count("--replicas", argc, argv);
+  g_accept_mode = sim::knob_accept_mode(argc, argv).value_or(
+          anneal::AcceptMode::kExact);
   const std::size_t instances = sim::scaled(6);
   const std::size_t num_anneals = sim::scaled(400);
   sim::print_banner("Ablations", "DESIGN.md §5 (not a paper artifact)",

@@ -40,7 +40,6 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
-#include <iostream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -48,12 +47,11 @@
 #include "quamax/common/error.hpp"
 #include "quamax/fault/plan.hpp"
 #include "quamax/obs/profile.hpp"
-#include "quamax/obs/trace.hpp"
 #include "quamax/serve/load_gen.hpp"
 #include "quamax/serve/metrics_export.hpp"
 #include "quamax/serve/service.hpp"
+#include "quamax/sim/knobs.hpp"
 #include "quamax/sim/report.hpp"
-#include "quamax/sim/runner.hpp"
 
 namespace {
 
@@ -93,16 +91,11 @@ struct Point {
 
 Point run_arm(const std::string& name, const serve::LoadConfig& load,
               const serve::ServiceConfig& service, std::size_t num_jobs,
-              double availability, obs::TraceLog* trace = nullptr) {
+              double availability) {
   const auto t0 = std::chrono::steady_clock::now();
   serve::LoadGenerator generator(load, 0xFA57);
-  serve::ServiceConfig traced = service;
-  if (trace != nullptr) {
-    trace->clear();
-    traced.trace = trace;
-  }
   const serve::ServiceReport report =
-      serve::DecodeService(traced).run(generator.open_loop(num_jobs));
+      serve::DecodeService(service).run(generator.open_loop(num_jobs));
   Point p;
   p.name = name;
   p.wall_s =
@@ -198,22 +191,14 @@ double pool_availability(const fault::FaultPlan& plan, std::size_t devices,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t threads = sim::cli_threads(argc, argv);
-  const std::size_t replicas = sim::cli_replicas(argc, argv);
-  const std::size_t devices = sim::cli_devices(argc, argv);
-  const std::string plan_path = sim::cli_fault_plan(argc, argv);
-  const std::size_t retries_knob = sim::cli_max_retries(argc, argv);
+  const std::size_t threads = sim::knob_count("--threads", argc, argv);
+  const std::size_t replicas = sim::knob_count("--replicas", argc, argv);
+  const std::size_t devices = sim::knob_count("--devices", argc, argv);
+  const std::string plan_path = sim::knob_text("--fault-plan", argc, argv);
+  const std::size_t retries_knob = sim::knob_count("--max-retries", argc, argv);
   const fault::FallbackMode fallback_knob =
-      fault::parse_fallback_mode(sim::cli_fallback(argc, argv));
-  const std::string trace_path = sim::cli_trace(argc, argv);
-  const bool prof = sim::cli_prof(argc, argv);
-  const std::string prof_json = sim::cli_prof_json(argc, argv);
-  if (prof || !prof_json.empty()) obs::Profiler::instance().set_enabled(true);
-  serve::MetricsOptions metrics;
-  metrics.path = sim::cli_metrics(argc, argv);
-  metrics.window_us = sim::cli_metrics_window(argc, argv);
-  metrics.slo = sim::cli_slo(argc, argv);
-  obs::TraceLog trace_log;
+      fault::parse_fallback_mode(sim::knob_text("--fallback", argc, argv));
+  serve::ObsSession session(argc, argv);
 
   bool smoke = false;
   std::string json_path;
@@ -307,8 +292,7 @@ int main(int argc, char** argv) {
     storm_cfg.max_retries = max_retries;
     storm_cfg.retry_backoff_us = 0.5 * service_us;
     storm_cfg.fallback = fallback;
-    if (!trace_path.empty() || metrics.enabled())
-      storm_cfg.trace = &trace_log;
+    session.attach(storm_cfg);
     serve::LoadGenerator gen_c(load, 0xFA57);
     const serve::ServiceReport stormed =
         serve::DecodeService(storm_cfg).run(gen_c.open_loop(smoke_jobs));
@@ -316,43 +300,7 @@ int main(int argc, char** argv) {
                 "fallback %s):\n%s",
                 100.0 * kDowntimeFraction, max_retries,
                 fault::to_string(fallback), stormed.stats.digest().c_str());
-    int exit_code = 0;
-    if (metrics.enabled()) {
-      // Windowing + SLO evaluation run BEFORE the trace write so the alert
-      // track lands in the Chrome trace.  All notices go to stderr.
-      const serve::WindowedView view =
-          serve::window_trace(trace_log, storm_cfg, metrics, &trace_log);
-      if (!metrics.path.empty()) {
-        if (serve::export_metrics(view, metrics)) {
-          std::fprintf(stderr, "metrics written to %s\n",
-                       metrics.path.c_str());
-        } else {
-          std::fprintf(stderr, "metrics: could not write %s\n",
-                       metrics.path.c_str());
-          exit_code = 1;
-        }
-      }
-    }
-    if (!trace_path.empty()) {
-      // Notice on stderr: CI byte-diffs this binary's stdout.
-      if (obs::write_chrome_trace_file(trace_log, trace_path)) {
-        std::fprintf(stderr, "trace written to %s\n", trace_path.c_str());
-      } else {
-        std::fprintf(stderr, "trace: could not write %s\n", trace_path.c_str());
-        exit_code = 1;
-      }
-    }
-    if (prof) obs::Profiler::instance().dump(std::cerr, 5);
-    if (!prof_json.empty()) {
-      if (obs::Profiler::instance().dump_json_file(prof_json)) {
-        std::fprintf(stderr, "profile json written to %s\n",
-                     prof_json.c_str());
-      } else {
-        std::fprintf(stderr, "prof-json: could not write %s\n",
-                     prof_json.c_str());
-        exit_code = 1;
-      }
-    }
+    const int exit_code = session.finish();
     if (stormed.stats.jobs() != smoke_jobs || stormed.stats.failed() != 0) {
       std::fprintf(stderr, "SMOKE FAILURE: %zu/%zu jobs accounted, %zu "
                            "terminal failures with the ladder armed\n",
@@ -384,8 +332,10 @@ int main(int argc, char** argv) {
   // showcase below can compare their series: end-of-run aggregates hide the
   // storm dip that the per-window miss-rate makes obvious.
   obs::TraceLog fault_free_log;
+  serve::ServiceConfig fault_free_cfg = base;
+  fault_free_cfg.trace = &fault_free_log;
   const Point fault_free =
-      run_arm("fault_free", load, base, num_jobs, 1.0, &fault_free_log);
+      run_arm("fault_free", load, fault_free_cfg, num_jobs, 1.0);
 
   serve::ServiceConfig no_mitigation = base;
   no_mitigation.fault = storm;
@@ -400,11 +350,16 @@ int main(int argc, char** argv) {
       run_arm("storm_retries_only", load, retries_only, num_jobs,
               availability);
 
+  // A default miss-rate SLO at the acceptance bound arms the windowed
+  // showcase below (and so the session) even when --slo is not given.
+  if (session.metrics().slo.empty())
+    session.metrics().slo = "miss_rate<=" + sim::fmt_double(kMissBound, 2);
   serve::ServiceConfig mitigated = retries_only;
   mitigated.fallback = fallback;
+  session.attach(mitigated);
   const Point full =
       run_arm("storm_retries_fallback", load, mitigated, num_jobs,
-              availability, &trace_log);
+              availability);
 
   print_point(fault_free);
   print_point(unmitigated);
@@ -445,15 +400,10 @@ int main(int argc, char** argv) {
   // Windowed showcase (obs v2): the per-window miss-rate series of the
   // mitigated arm must SHOW the storm — at least one burn-rate alert fires
   // in a window overlapping a scheduled outage — while the fault-free arm
-  // stays silent under the same SLO.  A default miss-rate SLO at the
-  // acceptance bound arms the monitor even when --slo is not given.
-  serve::MetricsOptions showcase = metrics;
-  if (showcase.slo.empty())
-    showcase.slo = "miss_rate<=" + sim::fmt_double(kMissBound, 2);
-  const serve::WindowedView storm_view =
-      serve::window_trace(trace_log, mitigated, showcase, &trace_log);
+  // stays silent under the same SLO.
+  const serve::WindowedView& storm_view = session.window();
   const serve::WindowedView quiet_view =
-      serve::window_trace(fault_free_log, base, showcase, nullptr);
+      serve::window_trace(fault_free_log, base, session.metrics(), nullptr);
 
   std::printf("\n=== windowed series, %s (window %.0f us) ===\n",
               full.name.c_str(), storm_view.collector.width_us());
@@ -502,36 +452,11 @@ int main(int argc, char** argv) {
                                 : "(acceptance: == 0, FAIL)");
   if (quiet_alerts != 0) failed = true;
 
-  if (!metrics.path.empty()) {
-    if (serve::export_metrics(storm_view, showcase)) {
-      std::fprintf(stderr, "metrics written to %s\n", metrics.path.c_str());
-    } else {
-      std::fprintf(stderr, "metrics: could not write %s\n",
-                   metrics.path.c_str());
-      failed = true;
-    }
-  }
-  if (!trace_path.empty()) {
-    // The mitigated arm's trace, alert track included.
-    if (obs::write_chrome_trace_file(trace_log, trace_path)) {
-      std::fprintf(stderr, "trace written to %s\n", trace_path.c_str());
-    } else {
-      std::fprintf(stderr, "trace: could not write %s\n", trace_path.c_str());
-      failed = true;
-    }
-  }
-
   if (!json_path.empty())
     write_json(json_path, {fault_free, unmitigated, ablation, full}, threads,
-               replicas, devices, prof || !prof_json.empty());
-  if (prof) obs::Profiler::instance().dump(std::cerr, 5);
-  if (!prof_json.empty() &&
-      !obs::Profiler::instance().dump_json_file(prof_json)) {
-    std::fprintf(stderr, "prof-json: could not write %s\n", prof_json.c_str());
-    failed = true;
-  } else if (!prof_json.empty()) {
-    std::fprintf(stderr, "profile json written to %s\n", prof_json.c_str());
-  }
+               replicas, devices, session.profiling());
+  // The mitigated arm's metrics and trace (alert track included).
+  if (session.finish() != 0) failed = true;
 
   return failed ? 1 : 0;
 }

@@ -20,6 +20,7 @@
 #include "quamax/anneal/annealer.hpp"
 #include "quamax/common/stats.hpp"
 #include "quamax/core/parallel_sampler.hpp"
+#include "quamax/sim/knobs.hpp"
 #include "quamax/sim/report.hpp"
 #include "quamax/sim/runner.hpp"
 
@@ -71,10 +72,10 @@ ClassResult evaluate_class(std::size_t users, Modulation mod, double snr_db,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t threads = quamax::sim::cli_threads(argc, argv);
-  const std::size_t replicas = quamax::sim::cli_replicas(argc, argv);
-  const quamax::anneal::AcceptMode accept_mode =
-      quamax::sim::cli_accept_mode(argc, argv);
+  const std::size_t threads = quamax::sim::knob_count("--threads", argc, argv);
+  const std::size_t replicas = quamax::sim::knob_count("--replicas", argc, argv);
+  const auto accept_mode = quamax::sim::knob_accept_mode(argc, argv).value_or(
+      quamax::anneal::AcceptMode::kExact);
   const std::size_t instances = sim::scaled(6);
   const std::size_t num_anneals = sim::scaled(1000);
   sim::print_banner("TTB under AWGN: users and SNR sweeps",

@@ -21,15 +21,16 @@
 #include "quamax/anneal/annealer.hpp"
 #include "quamax/common/stats.hpp"
 #include "quamax/core/parallel_sampler.hpp"
+#include "quamax/sim/knobs.hpp"
 #include "quamax/sim/report.hpp"
 #include "quamax/sim/runner.hpp"
 #include "quamax/wireless/trace.hpp"
 
 int main(int argc, char** argv) {
-  const std::size_t threads = quamax::sim::cli_threads(argc, argv);
-  const std::size_t replicas = quamax::sim::cli_replicas(argc, argv);
-  const quamax::anneal::AcceptMode accept_mode =
-      quamax::sim::cli_accept_mode(argc, argv);
+  const std::size_t threads = quamax::sim::knob_count("--threads", argc, argv);
+  const std::size_t replicas = quamax::sim::knob_count("--replicas", argc, argv);
+  const auto accept_mode = quamax::sim::knob_accept_mode(argc, argv).value_or(
+      quamax::anneal::AcceptMode::kExact);
   using namespace quamax;
   using wireless::Modulation;
 

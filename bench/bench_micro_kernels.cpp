@@ -16,6 +16,7 @@
 #include "quamax/core/detector.hpp"
 #include "quamax/detect/linear.hpp"
 #include "quamax/detect/sphere.hpp"
+#include "quamax/sim/knobs.hpp"
 #include "quamax/sim/runner.hpp"
 
 namespace {
@@ -197,9 +198,10 @@ BENCHMARK(BM_SaSweepBatchedThreshold32)->Arg(1)->Arg(8)->Arg(16)->Arg(32);
 void BM_ChimeraSampleBatchedPath(benchmark::State& state) {
   Rng rng{0xBA7C};
   anneal::AnnealerConfig config;
-  config.num_threads = sim::env_threads();
-  config.batch_replicas = sim::env_replicas();
-  config.accept_mode = sim::env_accept_mode();
+  config.num_threads = sim::knob_count("--threads");
+  config.batch_replicas = sim::knob_count("--replicas");
+  config.accept_mode =
+      sim::knob_accept_mode().value_or(anneal::AcceptMode::kExact);
   anneal::ChimeraAnnealer annealer(config);
   const auto use = make_use(16, Modulation::kBpsk, 20.0);
   const auto problem = core::reduce_ml_to_ising(use.h, use.y, use.mod);
@@ -241,7 +243,7 @@ BENCHMARK(BM_ZeroForcing)->Arg(12)->Arg(30)->Arg(60);
 void BM_Eq9ExpectedBer(benchmark::State& state) {
   Rng rng{3};
   anneal::AnnealerConfig config;
-  config.num_threads = sim::env_threads();  // BENCHMARK_MAIN owns argv
+  config.num_threads = sim::knob_count("--threads");  // BENCHMARK_MAIN owns argv
   anneal::ChimeraAnnealer annealer(config);
   const sim::Instance inst = sim::make_instance(
       {.users = 16, .mod = Modulation::kBpsk, .kind = {}, .snr_db = {}}, rng);

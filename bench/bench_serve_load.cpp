@@ -46,72 +46,21 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <iostream>
 #include <string>
 #include <vector>
 
 #include "quamax/common/stats.hpp"
-#include "quamax/obs/profile.hpp"
-#include "quamax/obs/trace.hpp"
 #include "quamax/sched/policy.hpp"
 #include "quamax/serve/load_gen.hpp"
 #include "quamax/serve/metrics_export.hpp"
 #include "quamax/serve/service.hpp"
+#include "quamax/sim/knobs.hpp"
 #include "quamax/sim/report.hpp"
-#include "quamax/sim/runner.hpp"
 #include "quamax/vpp/precode.hpp"
 
 namespace {
 
 using namespace quamax;
-
-/// --trace / --metrics / --slo support: the log is re-attached (and
-/// cleared) per observed run, so the files written at exit hold the LAST
-/// observed run's timeline, windowed series, and alerts.  All notices go to
-/// stderr — CI byte-diffs this binary's stdout.
-struct TraceCapture {
-  std::string path;
-  serve::MetricsOptions metrics;
-  obs::TraceLog log;
-  serve::ServiceConfig last_cfg;  ///< device pool of the last observed run
-  bool observed = false;
-
-  bool enabled() const { return !path.empty() || metrics.enabled(); }
-  void attach(serve::ServiceConfig& cfg) {
-    if (!enabled()) return;
-    log.clear();
-    cfg.trace = &log;
-    last_cfg = cfg;
-    observed = true;
-  }
-  int write() {
-    if (!enabled() || !observed) return 0;
-    int exit_code = 0;
-    if (metrics.enabled()) {
-      // Window + evaluate SLOs first so the Chrome trace below carries the
-      // alert track.
-      const serve::WindowedView view =
-          serve::window_trace(log, last_cfg, metrics, &log);
-      if (!metrics.path.empty()) {
-        if (serve::export_metrics(view, metrics)) {
-          std::fprintf(stderr, "metrics written to %s\n",
-                       metrics.path.c_str());
-        } else {
-          std::fprintf(stderr, "metrics: could not write %s\n",
-                       metrics.path.c_str());
-          exit_code = 1;
-        }
-      }
-    }
-    if (path.empty()) return exit_code;
-    if (!obs::write_chrome_trace_file(log, path)) {
-      std::fprintf(stderr, "trace: could not write %s\n", path.c_str());
-      return 1;
-    }
-    std::fprintf(stderr, "trace written to %s\n", path.c_str());
-    return exit_code;
-  }
-};
 
 /// Sketch-accuracy audit (ISSUE 8 acceptance): ServiceStats now summarizes
 /// latency through obs::QuantileSketch; this recomputes p50/p95/p99 exactly
@@ -266,20 +215,16 @@ const Point* sustained(const std::vector<Point>& curve) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t threads = quamax::sim::cli_threads(argc, argv);
-  const std::size_t replicas = quamax::sim::cli_replicas(argc, argv);
-  const std::size_t devices = quamax::sim::cli_devices(argc, argv);
-  const double downlink_fraction = quamax::sim::cli_downlink(argc, argv);
+  const std::size_t threads = quamax::sim::knob_count("--threads", argc, argv);
+  const std::size_t replicas = quamax::sim::knob_count("--replicas", argc, argv);
+  const std::size_t devices = quamax::sim::knob_count("--devices", argc, argv);
+  const double downlink_fraction =
+      quamax::sim::knob_number("--downlink", argc, argv);
   const std::optional<quamax::anneal::AcceptMode> accept_override =
-      quamax::sim::cli_accept_mode_if_set(argc, argv);
-  TraceCapture trace;
-  trace.path = quamax::sim::cli_trace(argc, argv);
-  trace.metrics.path = quamax::sim::cli_metrics(argc, argv);
-  trace.metrics.window_us = quamax::sim::cli_metrics_window(argc, argv);
-  trace.metrics.slo = quamax::sim::cli_slo(argc, argv);
-  const bool prof = quamax::sim::cli_prof(argc, argv);
-  const std::string prof_json = quamax::sim::cli_prof_json(argc, argv);
-  if (prof || !prof_json.empty()) obs::Profiler::instance().set_enabled(true);
+      quamax::sim::knob_accept_mode(argc, argv);
+  // --trace / --metrics files hold the LAST observed run (notices on stderr
+  // only: CI byte-diffs this binary's stdout).
+  serve::ObsSession session(argc, argv);
 
   bool smoke = false;
   for (const std::string& arg : sim::positional_args(argc, argv))
@@ -326,7 +271,7 @@ int main(int argc, char** argv) {
       serve::ServiceConfig cfg = base;
       cfg.device_specs = sharded_pool(devices);
       cfg.queue_policy = policy;
-      trace.attach(cfg);
+      session.attach(cfg);
       const serve::ServiceReport report = serve::DecodeService(cfg).run(jobs);
       misses += report.stats.misses();
       audit_sketch(report);
@@ -344,19 +289,7 @@ int main(int argc, char** argv) {
     } else {
       std::printf("smoke OK: zero deadline misses at trivial load\n");
     }
-    exit_code |= trace.write();
-    if (prof) obs::Profiler::instance().dump(std::cerr, 5);
-    if (!prof_json.empty()) {
-      if (obs::Profiler::instance().dump_json_file(prof_json)) {
-        std::fprintf(stderr, "profile json written to %s\n",
-                     prof_json.c_str());
-      } else {
-        std::fprintf(stderr, "prof-json: could not write %s\n",
-                     prof_json.c_str());
-        exit_code = 1;
-      }
-    }
-    return exit_code;
+    return exit_code | session.finish();
   }
 
   bool failed = false;
@@ -375,7 +308,7 @@ int main(int argc, char** argv) {
       serve::LoadGenerator generator(bpsk8_load(offered, 500.0), 0xB5E0);
       serve::ServiceConfig cfg = base;
       cfg.packing = packing;
-      trace.attach(cfg);
+      session.attach(cfg);
       const serve::ServiceReport report =
           serve::DecodeService(cfg).run(generator.open_loop(jobs_per_point));
       audit_sketch(report);
@@ -579,17 +512,7 @@ int main(int argc, char** argv) {
   // 5. Streaming-sketch accuracy over every audited report above.
   std::printf("\n");
   if (sketch_gate() != 0) failed = true;
-  if (trace.write() != 0) failed = true;
-  if (prof) obs::Profiler::instance().dump(std::cerr, 5);
-  if (!prof_json.empty()) {
-    if (obs::Profiler::instance().dump_json_file(prof_json)) {
-      std::fprintf(stderr, "profile json written to %s\n", prof_json.c_str());
-    } else {
-      std::fprintf(stderr, "prof-json: could not write %s\n",
-                   prof_json.c_str());
-      failed = true;
-    }
-  }
+  if (session.finish() != 0) failed = true;
 
   return failed ? 1 : 0;
 }

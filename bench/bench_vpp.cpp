@@ -44,8 +44,8 @@
 #include "quamax/anneal/annealer.hpp"
 #include "quamax/common/error.hpp"
 #include "quamax/core/parallel_sampler.hpp"
+#include "quamax/sim/knobs.hpp"
 #include "quamax/sim/report.hpp"
-#include "quamax/sim/runner.hpp"
 #include "quamax/vpp/precode.hpp"
 
 namespace {
@@ -161,11 +161,11 @@ void write_json(const std::string& path, const std::vector<Point>& points,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t threads = quamax::sim::cli_threads(argc, argv);
-  const std::size_t replicas = quamax::sim::cli_replicas(argc, argv);
-  const quamax::anneal::AcceptMode accept_mode =
-      quamax::sim::cli_accept_mode(argc, argv);
-  const double tau_override = quamax::sim::cli_tau(argc, argv);
+  const std::size_t threads = quamax::sim::knob_count("--threads", argc, argv);
+  const std::size_t replicas = quamax::sim::knob_count("--replicas", argc, argv);
+  const auto accept_mode = quamax::sim::knob_accept_mode(argc, argv).value_or(
+      quamax::anneal::AcceptMode::kExact);
+  const double tau_override = quamax::sim::knob_number("--tau", argc, argv);
   using namespace quamax;
   using wireless::Modulation;
 

@@ -38,18 +38,15 @@
 
 #include <chrono>
 #include <cstdio>
-#include <iostream>
 #include <string>
 #include <vector>
 
 #include "quamax/common/error.hpp"
-#include "quamax/obs/profile.hpp"
-#include "quamax/obs/trace.hpp"
 #include "quamax/serve/load_gen.hpp"
 #include "quamax/serve/metrics_export.hpp"
 #include "quamax/serve/service.hpp"
+#include "quamax/sim/knobs.hpp"
 #include "quamax/sim/report.hpp"
-#include "quamax/sim/runner.hpp"
 
 namespace {
 
@@ -144,21 +141,14 @@ void write_json(const std::string& path, const std::vector<Point>& points,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t threads = quamax::sim::cli_threads(argc, argv);
-  const std::size_t replicas = quamax::sim::cli_replicas(argc, argv);
-  const std::size_t devices = quamax::sim::cli_devices(argc, argv);
-  const double coherence_knob = quamax::sim::cli_coherence(argc, argv);
+  const std::size_t threads = quamax::sim::knob_count("--threads", argc, argv);
+  const std::size_t replicas = quamax::sim::knob_count("--replicas", argc, argv);
+  const std::size_t devices = quamax::sim::knob_count("--devices", argc, argv);
+  const double coherence_knob =
+      quamax::sim::knob_number("--coherence", argc, argv);
   // Default subframe coherence: rho = 0.9 => 10-subframe blocks.
   const double coherence = coherence_knob > 0.0 ? coherence_knob : 0.9;
-  const std::string trace_path = quamax::sim::cli_trace(argc, argv);
-  const bool prof = quamax::sim::cli_prof(argc, argv);
-  const std::string prof_json = quamax::sim::cli_prof_json(argc, argv);
-  if (prof || !prof_json.empty()) obs::Profiler::instance().set_enabled(true);
-  serve::MetricsOptions metrics;
-  metrics.path = quamax::sim::cli_metrics(argc, argv);
-  metrics.window_us = quamax::sim::cli_metrics_window(argc, argv);
-  metrics.slo = quamax::sim::cli_slo(argc, argv);
-  obs::TraceLog trace_log;
+  serve::ObsSession session(argc, argv);
 
   bool smoke = false;
   std::string json_path;
@@ -200,7 +190,7 @@ int main(int argc, char** argv) {
     serve::LoadGenerator generator(
         coherent_load(coherence, 10.0 * cold_service_us, users), 0x3A97);
     serve::ServiceConfig traced_cfg = warm_cfg;
-    if (!trace_path.empty() || metrics.enabled()) traced_cfg.trace = &trace_log;
+    session.attach(traced_cfg);
     const serve::ServiceReport report =
         serve::DecodeService(traced_cfg).run(generator.open_loop(num_jobs));
     std::printf("ServiceStats digest (warm-start smoke, devices %zu, "
@@ -210,43 +200,8 @@ int main(int argc, char** argv) {
                 generator.compile_stats().full_compiles,
                 generator.compile_stats().delta_compiles,
                 generator.coherence_block());
-    int exit_code = 0;
-    if (metrics.enabled()) {
-      // Window + evaluate SLOs before the trace write so the alert track
-      // lands in the Chrome trace.  Notices on stderr.
-      const serve::WindowedView view =
-          serve::window_trace(trace_log, traced_cfg, metrics, &trace_log);
-      if (!metrics.path.empty()) {
-        if (serve::export_metrics(view, metrics)) {
-          std::fprintf(stderr, "metrics written to %s\n",
-                       metrics.path.c_str());
-        } else {
-          std::fprintf(stderr, "metrics: could not write %s\n",
-                       metrics.path.c_str());
-          exit_code = 1;
-        }
-      }
-    }
-    if (!trace_path.empty()) {
-      // Notice on stderr: CI byte-diffs this binary's stdout.
-      if (obs::write_chrome_trace_file(trace_log, trace_path)) {
-        std::fprintf(stderr, "trace written to %s\n", trace_path.c_str());
-      } else {
-        std::fprintf(stderr, "trace: could not write %s\n", trace_path.c_str());
-        exit_code = 1;
-      }
-    }
-    if (prof) obs::Profiler::instance().dump(std::cerr, 5);
-    if (!prof_json.empty()) {
-      if (obs::Profiler::instance().dump_json_file(prof_json)) {
-        std::fprintf(stderr, "profile json written to %s\n",
-                     prof_json.c_str());
-      } else {
-        std::fprintf(stderr, "prof-json: could not write %s\n",
-                     prof_json.c_str());
-        exit_code = 1;
-      }
-    }
+    // Notices on stderr: CI byte-diffs this binary's stdout.
+    const int exit_code = session.finish();
     if (report.stats.warm_waves() == 0) {
       std::fprintf(stderr, "SMOKE FAILURE: no warm waves on a coherent load\n");
       return 1;
@@ -363,16 +318,7 @@ int main(int argc, char** argv) {
 
   if (!json_path.empty())
     write_json(json_path, points, threads, replicas, coherence);
-  if (prof) obs::Profiler::instance().dump(std::cerr, 5);
-  if (!prof_json.empty()) {
-    if (obs::Profiler::instance().dump_json_file(prof_json)) {
-      std::fprintf(stderr, "profile json written to %s\n", prof_json.c_str());
-    } else {
-      std::fprintf(stderr, "prof-json: could not write %s\n",
-                   prof_json.c_str());
-      failed = true;
-    }
-  }
+  if (session.finish() != 0) failed = true;
 
   return failed ? 1 : 0;
 }

@@ -33,42 +33,35 @@
 // suffix) plus a Prometheus text snapshot at FILE.prom; `--metrics-window
 // US` sets the window width (default: horizon / 20).  All file notices go
 // to stderr — stdout stays byte-identical with tracing and metrics export
-// on or off, which is the obs determinism contract.
+// on or off, which is the obs determinism contract — and a failed file
+// write makes the exit status non-zero.
 
 #include <cstdio>
-#include <iostream>
 #include <vector>
 
-#include "quamax/obs/profile.hpp"
-#include "quamax/obs/trace.hpp"
 #include "quamax/sched/client.hpp"
 #include "quamax/serve/load_gen.hpp"
 #include "quamax/serve/metrics_export.hpp"
 #include "quamax/serve/service.hpp"
+#include "quamax/sim/knobs.hpp"
 #include "quamax/sim/report.hpp"
-#include "quamax/sim/runner.hpp"
 
 int main(int argc, char** argv) {
-  const std::size_t threads = quamax::sim::cli_threads(argc, argv);
-  const std::size_t replicas = quamax::sim::cli_replicas(argc, argv);
+  const std::size_t threads = quamax::sim::knob_count("--threads", argc, argv);
+  const std::size_t replicas = quamax::sim::knob_count("--replicas", argc, argv);
   const std::optional<quamax::anneal::AcceptMode> accept_override =
-      quamax::sim::cli_accept_mode_if_set(argc, argv);
-  const std::size_t devices = quamax::sim::cli_devices(argc, argv);
+      quamax::sim::knob_accept_mode(argc, argv);
+  const std::size_t devices = quamax::sim::knob_count("--devices", argc, argv);
   const quamax::sched::QueuePolicy policy =
-      quamax::sched::parse_queue_policy(quamax::sim::cli_queue_policy(argc, argv));
-  const std::string trace_path = quamax::sim::cli_trace(argc, argv);
-  const bool prof = quamax::sim::cli_prof(argc, argv);
-  const std::string prof_json = quamax::sim::cli_prof_json(argc, argv);
+      quamax::sched::parse_queue_policy(
+          quamax::sim::knob_text("--queue-policy", argc, argv));
   using namespace quamax;
 
-  serve::MetricsOptions metrics;
-  metrics.path = sim::cli_metrics(argc, argv);
-  metrics.window_us = sim::cli_metrics_window(argc, argv);
-  metrics.slo = sim::cli_slo(argc, argv);
+  // The default SLO keeps the session on, so the packing-ON run is always
+  // traced and windowed.
+  serve::ObsSession session(argc, argv);
+  serve::MetricsOptions& metrics = session.metrics();
   if (metrics.slo.empty()) metrics.slo = "miss_rate<=0.05";
-
-  if (prof || !prof_json.empty()) obs::Profiler::instance().set_enabled(true);
-  obs::TraceLog trace_log;
 
   const std::size_t num_jobs = sim::scaled(160);
   sim::print_banner("C-RAN decode service walkthrough",
@@ -108,7 +101,8 @@ int main(int argc, char** argv) {
     // series below is derived from this event stream.  The sink is always
     // attached for that run — tracing never drifts stdout, so the walkthrough
     // prints identical text with or without --trace / --metrics.
-    cfg.trace = packing ? &trace_log : nullptr;
+    cfg.trace = nullptr;
+    if (packing) session.attach(cfg);
     serve::DecodeService service(cfg);
     serve::LoadGenerator generator(load, 0xA2905);
     const serve::ServiceReport report =
@@ -138,8 +132,7 @@ int main(int argc, char** argv) {
       // fixed virtual-clock windows and evaluate the SLO spec with
       // multi-window burn-rate alerting.  Alerts are also injected into the
       // trace (their own "slo alerts" track when --trace is set).
-      const serve::WindowedView view =
-          serve::window_trace(trace_log, cfg, metrics, &trace_log);
+      const serve::WindowedView& view = session.window();
       std::printf("\nwindowed miss-rate series (window %.0f us, SLO %s):\n",
                   view.collector.width_us(), metrics.slo.c_str());
       sim::print_columns({"window", "t [ms]", "miss rate", "completed",
@@ -171,13 +164,6 @@ int main(int argc, char** argv) {
       std::printf("energy accounting: %.3f J over the run, %.6f J per "
                   "decoded bit\n",
                   totals.energy_j, totals.joules_per_bit);
-
-      if (!metrics.path.empty()) {
-        if (serve::export_metrics(view, metrics))
-          std::cerr << "metrics written to " << metrics.path << "\n";
-        else
-          std::cerr << "metrics write FAILED: " << metrics.path << "\n";
-      }
     }
   }
 
@@ -230,19 +216,5 @@ int main(int argc, char** argv) {
       "The async client streams the identical schedule: submit() as\n"
       "subframes release, poll() per subframe, drain() at end of stream.\n");
 
-  if (!trace_path.empty()) {
-    if (obs::write_chrome_trace_file(trace_log, trace_path))
-      std::cerr << "trace written to " << trace_path
-                << " (open in Perfetto or chrome://tracing)\n";
-    else
-      std::cerr << "trace write FAILED: " << trace_path << "\n";
-  }
-  if (prof) obs::Profiler::instance().dump(std::cerr, 5);
-  if (!prof_json.empty()) {
-    if (obs::Profiler::instance().dump_json_file(prof_json))
-      std::cerr << "profile json written to " << prof_json << "\n";
-    else
-      std::cerr << "prof-json: could not write " << prof_json << "\n";
-  }
-  return 0;
+  return session.finish();
 }

@@ -153,6 +153,10 @@ struct WindowedConfig {
 /// header comment for the determinism contract.
 class WindowedCollector final : public TraceSink {
  public:
+  /// Most windows finalize() will derive; a width that would tile the
+  /// horizon with more is rejected with InvalidArgument.
+  static constexpr std::size_t kMaxWindows = 100'000;
+
   explicit WindowedCollector(WindowedConfig config = {}) : config_(config) {}
 
   // -- event intake (driver thread; buffer-only, nothing derived here) ----
@@ -186,7 +190,9 @@ class WindowedCollector final : public TraceSink {
   /// Derives windows, device usage, and totals from the buffered events.
   /// `horizon_us` fixes the accounting horizon; 0 infers the latest event
   /// timestamp.  The window count is ceil(horizon / width) with the last
-  /// window padded so N * width tiles [0, H] exactly.  Idempotent: calling
+  /// window padded so N * width tiles [0, H] exactly.  Throws
+  /// InvalidArgument when the width is not finite or the count would
+  /// exceed kMaxWindows.  Idempotent: calling
   /// again re-derives from scratch (e.g. after a merge).
   void finalize(double horizon_us = 0.0);
 

@@ -52,7 +52,8 @@ bool parse_clause(const std::string& clause, SloSpec* spec,
     const auto slash = win.find('/');
     if (slash == std::string::npos) return fail("expected LONG/SHORT after @");
     char* end = nullptr;
-    const long lw = std::strtol(win.substr(0, slash).c_str(), &end, 10);
+    const std::string long_str = win.substr(0, slash);  // outlives `end`
+    const long lw = std::strtol(long_str.c_str(), &end, 10);
     if (end == nullptr || *end != '\0' || lw <= 0)
       return fail("bad long-window count");
     const std::string short_str = win.substr(slash + 1);

@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <sstream>
 #include <tuple>
 #include <utility>
+
+#include "quamax/common/error.hpp"
 
 namespace quamax::obs {
 namespace {
@@ -114,8 +117,16 @@ void WindowedCollector::finalize(double horizon_us) {
 
   width_us_ = config_.window_us > 0.0 ? config_.window_us
                                       : latest / kAutoWindows;
-  const std::size_t n = std::max<std::size_t>(
-      1, static_cast<std::size_t>(std::ceil(latest / width_us_)));
+  const double windows = std::ceil(latest / width_us_);
+  if (!std::isfinite(width_us_) || windows > kMaxWindows) {
+    std::ostringstream msg;
+    msg << "WindowedCollector: window width " << width_us_ << " us over a "
+        << latest << " us horizon needs " << windows << " windows (at most "
+        << kMaxWindows << ")";
+    throw InvalidArgument(msg.str());
+  }
+  const std::size_t n =
+      std::max<std::size_t>(1, static_cast<std::size_t>(windows));
   horizon_us_ = static_cast<double>(n) * width_us_;
 
   // Event -> window index; events at the exact horizon land in the last

@@ -65,7 +65,6 @@
 #include "quamax/sched/device_set.hpp"
 #include "quamax/sched/policy.hpp"
 #include "quamax/serve/job.hpp"
-#include "quamax/serve/packer.hpp"
 
 namespace quamax::sched {
 

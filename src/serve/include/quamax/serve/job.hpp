@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <optional>
 #include <variant>
+#include <vector>
 
 #include "quamax/common/error.hpp"
 #include "quamax/sim/instance.hpp"
@@ -165,6 +166,31 @@ struct JobRecord {
   bool missed_deadline() const {
     return dropped || failed || completion_us > deadline_us;
   }
+};
+
+/// One chip wave: same-shape jobs decoded by a single anneal batch.
+struct Wave {
+  std::size_t id = 0;
+  std::size_t shape = 0;            ///< logical variable count of every member
+  std::vector<std::size_t> jobs;    ///< member job indices, FIFO order
+  double dispatch_us = 0.0;         ///< set by the service
+  double completion_us = 0.0;       ///< set by the service
+  std::size_t device = 0;           ///< modeled QA processor that ran it
+  /// Warm-start wave (sched::SchedConfig::warm_start): every member is
+  /// reverse-annealed from its coherence-chain predecessor's decoded
+  /// configuration at the warm anneal quota.  Waves are
+  /// warmness-homogeneous — cold members never share a wave with warm ones.
+  bool warm = false;
+  /// Warm waves only: each member's predecessor SEQUENCE number, aligned
+  /// with `jobs` (the scheduler's seed-registry keys).  Empty when cold.
+  std::vector<std::size_t> seeds;
+  /// Fault injection (sched::SchedConfig::fault): the wave aborted at
+  /// fail_us — its device hit an outage or defect growth mid-flight, or its
+  /// anneal/readout draw failed — yielding no samples.  Members were
+  /// retried or degraded; the device was occupied for
+  /// [dispatch_us, fail_us] only.  Always false without a fault plan.
+  bool failed = false;
+  double fail_us = 0.0;
 };
 
 }  // namespace quamax::serve

@@ -6,7 +6,7 @@
 // wave while HARQ-style deadlines bound per-job latency.  DecodeService
 // models that serving loop end to end:
 //
-//   arrivals ──► FIFO queue ──► WavePacker (first-fit, shape-keyed) ──►
+//   arrivals ──► sched::Scheduler (policy queue, shape-keyed waves) ──►
 //   modeled QA devices (virtual clock) ──► ChimeraAnnealer workers on a
 //   core::ThreadPool (real compute) ──► unembed + decode ──► ServiceStats
 //
@@ -52,7 +52,6 @@
 #include "quamax/sched/scheduler.hpp"
 #include "quamax/serve/job.hpp"
 #include "quamax/serve/load_gen.hpp"
-#include "quamax/serve/packer.hpp"
 #include "quamax/serve/stats.hpp"
 
 namespace quamax::serve {

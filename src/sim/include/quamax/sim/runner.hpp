@@ -80,193 +80,4 @@ std::vector<double> opt_per_instance(const SweepMatrix& matrix);
 /// Values of the Fix row (convenience).
 std::vector<double> fix_values(const SweepMatrix& matrix);
 
-/// Reads the QUAMAX_SCALE environment variable (default 1.0): a multiplier
-/// the bench binaries apply to instance and anneal counts so the suite can
-/// be scaled from smoke-test to paper-scale.
-double env_scale();
-
-/// scale-adjusted count: max(1, round(base * env_scale())).
-std::size_t scaled(std::size_t base);
-
-/// Reads the QUAMAX_THREADS environment variable: lanes for the batch-anneal
-/// runtime (AnnealerConfig::num_threads).  Default 1 (serial baseline);
-/// 0 means one lane per hardware thread.  Results are bit-identical at any
-/// setting, so this only trades wall clock.
-std::size_t env_threads();
-
-/// The bench/example `--threads N` knob (also `--threads=N`); falls back to
-/// env_threads() when the flag is absent.  Throws InvalidArgument on a
-/// malformed value.
-std::size_t cli_threads(int argc, char** argv);
-
-/// Reads the QUAMAX_REPLICAS environment variable: replicas per batched SA
-/// kernel call (AnnealerConfig::batch_replicas).  Default 8; 1 selects the
-/// scalar per-sample path.  Samples are bit-identical at any setting, so
-/// this only trades sweep throughput (bench_micro_kernels quantifies it).
-std::size_t env_replicas();
-
-/// The bench/example `--replicas N` knob (also `--replicas=N`); falls back
-/// to env_replicas() when the flag is absent.  Throws InvalidArgument on a
-/// malformed or zero value.
-std::size_t cli_replicas(int argc, char** argv);
-
-/// Reads the QUAMAX_ACCEPT_MODE environment variable: the sweep-kernel
-/// acceptance rule, one of "exact" (default; the v1 bit-exact Metropolis
-/// contract), "threshold" (branch-free threshold acceptance), or
-/// "threshold32" (threshold with float32 state/coefficients).  Every mode
-/// is bit-identical at any --threads/--replicas; the threshold modes
-/// produce a different (statistically equivalent) sample stream than exact.
-anneal::AcceptMode env_accept_mode();
-
-/// The bench/example `--accept-mode M` knob (also `--accept-mode=M`); falls
-/// back to env_accept_mode() when the flag is absent.  Throws
-/// InvalidArgument on an unknown mode name.
-anneal::AcceptMode cli_accept_mode(int argc, char** argv);
-
-/// Like cli_accept_mode, but distinguishes "not specified" (nullopt: no
-/// flag AND no environment variable) from an explicit choice — for binaries
-/// whose subsystem default differs from the library-wide kExact (serve
-/// defaults to kThreshold32 since PR 5's soak parity run).
-std::optional<anneal::AcceptMode> cli_accept_mode_if_set(int argc, char** argv);
-
-/// Reads the QUAMAX_DEVICES environment variable: modeled QA processors in
-/// the decode scheduler's pool (>= 1; default 1).  A pure virtual-clock
-/// knob — more devices change the latency model, never the per-wave decode.
-std::size_t env_devices();
-
-/// The bench/example `--devices N` knob (also `--devices=N`); falls back to
-/// env_devices() when the flag is absent.
-std::size_t cli_devices(int argc, char** argv);
-
-/// Reads the QUAMAX_DOWNLINK environment variable: fraction of serve-layer
-/// jobs that are downlink VPP precoding jobs (in [0, 1]; default 0 = pure
-/// uplink, bit-identical to the pre-full-duplex workloads).
-double env_downlink();
-
-/// The bench/example `--downlink F` knob (also `--downlink=F`); falls back
-/// to env_downlink() when the flag is absent.  Throws InvalidArgument on a
-/// malformed value or one outside [0, 1].
-double cli_downlink(int argc, char** argv);
-
-/// Reads the QUAMAX_TAU environment variable: the VPP perturbation modulus
-/// override (>= 0; default 0 = per-modulation auto, vpp::default_tau).
-double env_tau();
-
-/// The bench/example `--tau T` knob (also `--tau=T`); falls back to
-/// env_tau() when the flag is absent.
-double cli_tau(int argc, char** argv);
-
-/// Reads the QUAMAX_COHERENCE environment variable: subframe channel
-/// coherence of the serve-layer workload (in [0, 1); default 0 = i.i.d.
-/// per-job channels, bit-identical to the incoherent workloads).  See
-/// serve::LoadConfig::coherence.
-double env_coherence();
-
-/// The bench/example `--coherence R` knob (also `--coherence=R`); falls
-/// back to env_coherence() when the flag is absent.  Throws
-/// InvalidArgument on a malformed value or one outside [0, 1).
-double cli_coherence(int argc, char** argv);
-
-/// Reads the QUAMAX_QUEUE_POLICY environment variable as a raw string
-/// (default "fifo").  Validation happens in sched::parse_queue_policy — the
-/// sim layer sits below sched and only transports the spelling.
-std::string env_queue_policy();
-
-/// The bench/example `--queue-policy P` knob (also `--queue-policy=P`);
-/// falls back to env_queue_policy() when the flag is absent.
-std::string cli_queue_policy(int argc, char** argv);
-
-/// Reads the QUAMAX_TRACE environment variable: output path for the
-/// Chrome/Perfetto trace-event JSON of a served run (empty = tracing off).
-/// A pure observability knob — every report stays bit-identical either way.
-std::string env_trace();
-
-/// The serving-binary `--trace FILE` knob (also `--trace=FILE`); falls back
-/// to env_trace() when the flag is absent.  Throws InvalidArgument on an
-/// empty path.
-std::string cli_trace(int argc, char** argv);
-
-/// The bench/example `--prof` knob (bare flag; also the QUAMAX_PROF
-/// environment variable, any non-empty value other than "0"): enables the
-/// obs::Profiler's wall-clock stage scopes and a per-stage table dump to
-/// stderr at exit.  Results are unaffected; only wall time is observed.
-bool cli_prof(int argc, char** argv);
-
-/// Reads the QUAMAX_METRICS environment variable: output path for the
-/// windowed telemetry dump of a served run (JSON, or CSV when the path ends
-/// in ".csv"; a Prometheus snapshot lands at path + ".prom").  Empty =
-/// metrics off.  Pure observability — digests are byte-identical either way.
-std::string env_metrics();
-
-/// The serving-binary `--metrics FILE` knob (also `--metrics=FILE`); falls
-/// back to env_metrics() when the flag is absent.  Throws InvalidArgument
-/// on an empty path.
-std::string cli_metrics(int argc, char** argv);
-
-/// Reads the QUAMAX_METRICS_WINDOW environment variable: tumbling-window
-/// width in virtual-clock microseconds for the --metrics series (default
-/// 0 = auto, horizon / 20).
-double env_metrics_window();
-
-/// The serving-binary `--metrics-window US` knob (also
-/// `--metrics-window=US`); falls back to env_metrics_window() when absent.
-double cli_metrics_window(int argc, char** argv);
-
-/// Reads the QUAMAX_SLO environment variable: comma-separated SLO spec list
-/// (obs::parse_slo_specs grammar, e.g. "miss_rate<=0.05@4/1,p99<=2500";
-/// empty = no SLO monitoring).  The sim layer only transports the spelling;
-/// parsing/validation happens in quamax::obs.
-std::string env_slo();
-
-/// The serving-binary `--slo SPECS` knob (also `--slo=SPECS`); falls back
-/// to env_slo() when the flag is absent.
-std::string cli_slo(int argc, char** argv);
-
-/// Reads the QUAMAX_PROF_JSON environment variable: output path for the
-/// machine-readable per-stage profile table (obs::Profiler JSON, the
-/// `quamax_prof_*` counters bench_to_json.py carries).  Empty = off.
-std::string env_prof_json();
-
-/// The bench/example `--prof-json FILE` knob (also `--prof-json=FILE`);
-/// implies profiling just like `--prof`.  Falls back to env_prof_json()
-/// when the flag is absent.
-std::string cli_prof_json(int argc, char** argv);
-
-/// Reads the QUAMAX_FAULT_PLAN environment variable: path to a
-/// fault::load_fault_plan schedule file (empty = no fault injection — the
-/// historical fault-free service, bit for bit).  The sim layer only
-/// transports the path; parsing/validation happens in quamax::fault.
-std::string env_fault_plan();
-
-/// The serving-binary `--fault-plan FILE` knob (also `--fault-plan=FILE`);
-/// falls back to env_fault_plan() when the flag is absent.  Throws
-/// InvalidArgument on an empty path.
-std::string cli_fault_plan(int argc, char** argv);
-
-/// Reads the QUAMAX_MAX_RETRIES environment variable: per-job retry budget
-/// for members of failed waves (default 0 = no retries).
-std::size_t env_max_retries();
-
-/// The serving-binary `--max-retries N` knob (also `--max-retries=N`);
-/// falls back to env_max_retries() when the flag is absent.
-std::size_t cli_max_retries(int argc, char** argv);
-
-/// Reads the QUAMAX_FALLBACK environment variable as a raw string (default
-/// "none").  Validation happens in fault::parse_fallback_mode — the sim
-/// layer sits below fault and only transports the spelling.
-std::string env_fallback();
-
-/// The serving-binary `--fallback M` knob (also `--fallback=M`,
-/// M in none|zf|mmse); falls back to env_fallback() when the flag is absent.
-std::string cli_fallback(int argc, char** argv);
-
-/// argv entries that are not part of the --threads / --replicas /
-/// --accept-mode / --devices / --queue-policy / --downlink / --tau /
-/// --coherence / --trace / --fault-plan / --max-retries / --fallback /
-/// --metrics / --metrics-window / --slo / --prof-json / --prof flags
-/// (program name excluded), in order.
-/// Binaries with positional arguments parse these instead of argv so their
-/// positional handling cannot drift out of sync with the flag spellings.
-std::vector<std::string> positional_args(int argc, char** argv);
-
 }  // namespace quamax::sim

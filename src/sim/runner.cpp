@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 #include <memory>
-#include <string>
 
 #include "quamax/common/error.hpp"
 #include "quamax/common/stats.hpp"
@@ -134,407 +132,6 @@ std::vector<double> opt_per_instance(const SweepMatrix& matrix) {
 
 std::vector<double> fix_values(const SweepMatrix& matrix) {
   return matrix[best_fixed_setting(matrix)];
-}
-
-double env_scale() {
-  const char* raw = std::getenv("QUAMAX_SCALE");
-  if (raw == nullptr) return 1.0;
-  const double v = std::atof(raw);
-  return v > 0.0 ? v : 1.0;
-}
-
-std::size_t scaled(std::size_t base) {
-  const double v = std::round(static_cast<double>(base) * env_scale());
-  return static_cast<std::size_t>(std::max(1.0, v));
-}
-
-namespace {
-
-std::size_t parse_count(const std::string& text, const std::string& knob) {
-  std::size_t pos = 0;
-  unsigned long long v = 0;
-  // stoull accepts and wraps a leading '-'; reject it up front.
-  const bool negative = !text.empty() && text.front() == '-';
-  try {
-    v = std::stoull(text, &pos);
-  } catch (const std::exception&) {
-    pos = 0;
-  }
-  require(!negative && pos == text.size() && !text.empty(),
-          knob + ": expected a non-negative integer, got '" + text + "'");
-  require(v <= 4096, knob + ": " + text + " is not plausible");
-  return static_cast<std::size_t>(v);
-}
-
-/// Recognizes both `--<name> V` and `--<name>=V` spellings at argv[i].
-/// Single source of truth for the flag syntax, shared by the cli_* parsers
-/// and positional_args.  Returns the raw value and how many argv entries
-/// the flag occupies.
-bool flag_at(const std::string& name, int argc, char** argv, int i,
-             std::string& value, int& consumed) {
-  const std::string arg = argv[i];
-  const std::string flag = "--" + name;
-  if (arg == flag) {
-    require(i + 1 < argc, flag + ": missing value");
-    value = argv[i + 1];
-    consumed = 2;
-    return true;
-  }
-  if (arg.rfind(flag + "=", 0) == 0) {
-    value = arg.substr(flag.size() + 1);
-    consumed = 1;
-    return true;
-  }
-  return false;
-}
-
-/// Parses `--<name>` from argv when present; only otherwise falls back to
-/// `env_fallback` (lazily, so a malformed environment variable cannot abort
-/// a run that passed a valid explicit flag).
-std::size_t cli_flag_or(const std::string& name, int argc, char** argv,
-                        const std::function<std::size_t()>& env_fallback,
-                        const std::string& knob) {
-  for (int i = 1; i < argc; ++i) {
-    std::string value;
-    int consumed = 0;
-    if (flag_at(name, argc, argv, i, value, consumed))
-      return parse_count(value, knob);
-  }
-  return env_fallback();
-}
-
-/// Parses a non-negative double knob value (shared by --downlink / --tau).
-double parse_nonnegative(const std::string& text, const std::string& knob) {
-  double v = 0.0;
-  std::size_t pos = 0;
-  try {
-    v = std::stod(text, &pos);
-  } catch (const std::exception&) {
-    pos = 0;
-  }
-  require(pos == text.size() && !text.empty() && v >= 0.0,
-          knob + ": expected a non-negative number, got '" + text + "'");
-  return v;
-}
-
-anneal::AcceptMode parse_accept_mode(const std::string& text) {
-  if (text == "exact") return anneal::AcceptMode::kExact;
-  if (text == "threshold") return anneal::AcceptMode::kThreshold;
-  if (text == "threshold32") return anneal::AcceptMode::kThreshold32;
-  throw InvalidArgument(
-      "--accept-mode / QUAMAX_ACCEPT_MODE: expected exact, threshold, or "
-      "threshold32, got '" +
-      text + "'");
-}
-
-}  // namespace
-
-std::size_t env_threads() {
-  const char* raw = std::getenv("QUAMAX_THREADS");
-  if (raw == nullptr) return 1;
-  return parse_count(raw, "--threads / QUAMAX_THREADS");
-}
-
-std::size_t cli_threads(int argc, char** argv) {
-  return cli_flag_or("threads", argc, argv, env_threads,
-                     "--threads / QUAMAX_THREADS");
-}
-
-std::size_t env_replicas() {
-  const char* raw = std::getenv("QUAMAX_REPLICAS");
-  const std::size_t replicas =
-      raw == nullptr ? 8 : parse_count(raw, "--replicas / QUAMAX_REPLICAS");
-  require(replicas >= 1, "--replicas / QUAMAX_REPLICAS: need at least one");
-  return replicas;
-}
-
-std::size_t cli_replicas(int argc, char** argv) {
-  const std::size_t replicas = cli_flag_or(
-      "replicas", argc, argv, env_replicas, "--replicas / QUAMAX_REPLICAS");
-  require(replicas >= 1, "--replicas / QUAMAX_REPLICAS: need at least one");
-  return replicas;
-}
-
-anneal::AcceptMode env_accept_mode() {
-  const char* raw = std::getenv("QUAMAX_ACCEPT_MODE");
-  if (raw == nullptr) return anneal::AcceptMode::kExact;
-  return parse_accept_mode(raw);
-}
-
-std::optional<anneal::AcceptMode> cli_accept_mode_if_set(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    std::string value;
-    int consumed = 0;
-    if (flag_at("accept-mode", argc, argv, i, value, consumed))
-      return parse_accept_mode(value);
-  }
-  const char* raw = std::getenv("QUAMAX_ACCEPT_MODE");
-  if (raw == nullptr) return std::nullopt;
-  return parse_accept_mode(raw);
-}
-
-anneal::AcceptMode cli_accept_mode(int argc, char** argv) {
-  // "not specified" and the library-wide default coincide here (kExact).
-  return cli_accept_mode_if_set(argc, argv).value_or(anneal::AcceptMode::kExact);
-}
-
-std::size_t env_devices() {
-  const char* raw = std::getenv("QUAMAX_DEVICES");
-  const std::size_t devices =
-      raw == nullptr ? 1 : parse_count(raw, "--devices / QUAMAX_DEVICES");
-  require(devices >= 1, "--devices / QUAMAX_DEVICES: need at least one");
-  return devices;
-}
-
-std::size_t cli_devices(int argc, char** argv) {
-  const std::size_t devices =
-      cli_flag_or("devices", argc, argv, env_devices, "--devices / QUAMAX_DEVICES");
-  require(devices >= 1, "--devices / QUAMAX_DEVICES: need at least one");
-  return devices;
-}
-
-double env_downlink() {
-  const char* raw = std::getenv("QUAMAX_DOWNLINK");
-  if (raw == nullptr) return 0.0;
-  const double fraction =
-      parse_nonnegative(raw, "--downlink / QUAMAX_DOWNLINK");
-  require(fraction <= 1.0,
-          "--downlink / QUAMAX_DOWNLINK: fraction must be in [0, 1]");
-  return fraction;
-}
-
-double cli_downlink(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    std::string value;
-    int consumed = 0;
-    if (flag_at("downlink", argc, argv, i, value, consumed)) {
-      const double fraction =
-          parse_nonnegative(value, "--downlink / QUAMAX_DOWNLINK");
-      require(fraction <= 1.0,
-              "--downlink / QUAMAX_DOWNLINK: fraction must be in [0, 1]");
-      return fraction;
-    }
-  }
-  return env_downlink();
-}
-
-double env_tau() {
-  const char* raw = std::getenv("QUAMAX_TAU");
-  if (raw == nullptr) return 0.0;
-  return parse_nonnegative(raw, "--tau / QUAMAX_TAU");
-}
-
-double cli_tau(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    std::string value;
-    int consumed = 0;
-    if (flag_at("tau", argc, argv, i, value, consumed))
-      return parse_nonnegative(value, "--tau / QUAMAX_TAU");
-  }
-  return env_tau();
-}
-
-double env_coherence() {
-  const char* raw = std::getenv("QUAMAX_COHERENCE");
-  if (raw == nullptr) return 0.0;
-  const double rho = parse_nonnegative(raw, "--coherence / QUAMAX_COHERENCE");
-  require(rho < 1.0,
-          "--coherence / QUAMAX_COHERENCE: coherence must be in [0, 1)");
-  return rho;
-}
-
-double cli_coherence(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    std::string value;
-    int consumed = 0;
-    if (flag_at("coherence", argc, argv, i, value, consumed)) {
-      const double rho =
-          parse_nonnegative(value, "--coherence / QUAMAX_COHERENCE");
-      require(rho < 1.0,
-              "--coherence / QUAMAX_COHERENCE: coherence must be in [0, 1)");
-      return rho;
-    }
-  }
-  return env_coherence();
-}
-
-std::string env_queue_policy() {
-  const char* raw = std::getenv("QUAMAX_QUEUE_POLICY");
-  return raw == nullptr ? "fifo" : raw;
-}
-
-std::string env_trace() {
-  const char* raw = std::getenv("QUAMAX_TRACE");
-  return raw == nullptr ? "" : raw;
-}
-
-std::string cli_trace(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    std::string value;
-    int consumed = 0;
-    if (flag_at("trace", argc, argv, i, value, consumed)) {
-      require(!value.empty(), "--trace: need an output path");
-      return value;
-    }
-  }
-  return env_trace();
-}
-
-bool cli_prof(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i)
-    if (std::string(argv[i]) == "--prof") return true;
-  const char* raw = std::getenv("QUAMAX_PROF");
-  return raw != nullptr && std::string(raw) != "0" && std::string(raw) != "";
-}
-
-std::string cli_queue_policy(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    std::string value;
-    int consumed = 0;
-    if (flag_at("queue-policy", argc, argv, i, value, consumed)) return value;
-  }
-  return env_queue_policy();
-}
-
-std::string env_metrics() {
-  const char* raw = std::getenv("QUAMAX_METRICS");
-  return raw == nullptr ? "" : raw;
-}
-
-std::string cli_metrics(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    std::string value;
-    int consumed = 0;
-    if (flag_at("metrics", argc, argv, i, value, consumed)) {
-      require(!value.empty(), "--metrics: need an output path");
-      return value;
-    }
-  }
-  return env_metrics();
-}
-
-double env_metrics_window() {
-  const char* raw = std::getenv("QUAMAX_METRICS_WINDOW");
-  if (raw == nullptr) return 0.0;
-  return parse_nonnegative(raw, "--metrics-window / QUAMAX_METRICS_WINDOW");
-}
-
-double cli_metrics_window(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    std::string value;
-    int consumed = 0;
-    if (flag_at("metrics-window", argc, argv, i, value, consumed))
-      return parse_nonnegative(value,
-                               "--metrics-window / QUAMAX_METRICS_WINDOW");
-  }
-  return env_metrics_window();
-}
-
-std::string env_slo() {
-  const char* raw = std::getenv("QUAMAX_SLO");
-  return raw == nullptr ? "" : raw;
-}
-
-std::string cli_slo(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    std::string value;
-    int consumed = 0;
-    if (flag_at("slo", argc, argv, i, value, consumed)) return value;
-  }
-  return env_slo();
-}
-
-std::string env_prof_json() {
-  const char* raw = std::getenv("QUAMAX_PROF_JSON");
-  return raw == nullptr ? "" : raw;
-}
-
-std::string cli_prof_json(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    std::string value;
-    int consumed = 0;
-    if (flag_at("prof-json", argc, argv, i, value, consumed)) {
-      require(!value.empty(), "--prof-json: need an output path");
-      return value;
-    }
-  }
-  return env_prof_json();
-}
-
-std::string env_fault_plan() {
-  const char* raw = std::getenv("QUAMAX_FAULT_PLAN");
-  return raw == nullptr ? "" : raw;
-}
-
-std::string cli_fault_plan(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    std::string value;
-    int consumed = 0;
-    if (flag_at("fault-plan", argc, argv, i, value, consumed)) {
-      require(!value.empty(), "--fault-plan: need a schedule file path");
-      return value;
-    }
-  }
-  return env_fault_plan();
-}
-
-std::size_t env_max_retries() {
-  const char* raw = std::getenv("QUAMAX_MAX_RETRIES");
-  if (raw == nullptr) return 0;
-  return parse_count(raw, "--max-retries / QUAMAX_MAX_RETRIES");
-}
-
-std::size_t cli_max_retries(int argc, char** argv) {
-  return cli_flag_or("max-retries", argc, argv, env_max_retries,
-                     "--max-retries / QUAMAX_MAX_RETRIES");
-}
-
-std::string env_fallback() {
-  const char* raw = std::getenv("QUAMAX_FALLBACK");
-  return raw == nullptr ? "none" : raw;
-}
-
-std::string cli_fallback(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    std::string value;
-    int consumed = 0;
-    if (flag_at("fallback", argc, argv, i, value, consumed)) return value;
-  }
-  return env_fallback();
-}
-
-std::vector<std::string> positional_args(int argc, char** argv) {
-  std::vector<std::string> out;
-  for (int i = 1; i < argc;) {
-    std::string value;
-    int consumed = 0;
-    if (flag_at("threads", argc, argv, i, value, consumed) ||
-        flag_at("replicas", argc, argv, i, value, consumed) ||
-        flag_at("accept-mode", argc, argv, i, value, consumed) ||
-        flag_at("devices", argc, argv, i, value, consumed) ||
-        flag_at("queue-policy", argc, argv, i, value, consumed) ||
-        flag_at("downlink", argc, argv, i, value, consumed) ||
-        flag_at("tau", argc, argv, i, value, consumed) ||
-        flag_at("coherence", argc, argv, i, value, consumed) ||
-        flag_at("trace", argc, argv, i, value, consumed) ||
-        flag_at("fault-plan", argc, argv, i, value, consumed) ||
-        flag_at("max-retries", argc, argv, i, value, consumed) ||
-        flag_at("fallback", argc, argv, i, value, consumed) ||
-        flag_at("metrics", argc, argv, i, value, consumed) ||
-        flag_at("metrics-window", argc, argv, i, value, consumed) ||
-        flag_at("slo", argc, argv, i, value, consumed) ||
-        flag_at("prof-json", argc, argv, i, value, consumed)) {
-      i += consumed;
-      continue;
-    }
-    if (std::string(argv[i]) == "--prof") {  // bare boolean flag
-      ++i;
-      continue;
-    }
-    out.emplace_back(argv[i]);
-    ++i;
-  }
-  return out;
 }
 
 }  // namespace quamax::sim

@@ -18,6 +18,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
@@ -25,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "quamax/common/error.hpp"
 #include "quamax/common/rng.hpp"
 #include "quamax/common/stats.hpp"
 #include "quamax/fault/plan.hpp"
@@ -471,6 +473,27 @@ TEST(WindowedCollectorTest, MergeIsAssociativeBitForBit) {
   a.set_devices(1);
   a.finalize();
   EXPECT_EQ(windowed_digest(a), whole);
+}
+
+TEST(WindowedCollectorTest, RejectsWidthsBeyondTheWindowBound) {
+  obs::TraceLog log;
+  log.on_job_submit({.job_id = 0, .user = 0, .direction = 0,
+                     .submit_us = 1562.5, .deadline_us = 2000.0});
+  const auto finalize_at = [&log](double width_us) {
+    obs::WindowedCollector collector({width_us});
+    collector.ingest(log);
+    collector.finalize();
+    return collector.windows().size();
+  };
+  // A 1562.5 us horizon in 1/64 us windows is exactly the bound (both
+  // binary-exact); finer widths are rejected before anything is allocated,
+  // as is a width that is not finite.
+  static_assert(obs::WindowedCollector::kMaxWindows == 100'000);
+  EXPECT_EQ(finalize_at(1.0 / 64.0), obs::WindowedCollector::kMaxWindows);
+  EXPECT_THROW(finalize_at(1.0 / 128.0), InvalidArgument);
+  EXPECT_THROW(finalize_at(1e-9), InvalidArgument);
+  EXPECT_THROW(finalize_at(std::numeric_limits<double>::infinity()),
+               InvalidArgument);
 }
 
 TEST(WindowedCollectorTest, DutyCycleAndEnergyConserve) {

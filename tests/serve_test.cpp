@@ -1,8 +1,8 @@
 // quamax::serve — wave packing and service determinism.
 //
-// The contracts under test (ISSUE 3):
-//   * the first-fit packer never exceeds chip capacity, never mixes shapes
-//     in a wave, and serves every job exactly once;
+// The contracts under test:
+//   * FIFO waves never exceed the wave capacity, never mix shapes, keep
+//     each shape's jobs in arrival order, and serve every job exactly once;
 //   * the service preserves the job -> solution mapping across waves (each
 //     job's decoded bits match ITS OWN transmitted bits, which differ from
 //     its wave-mates');
@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "quamax/serve/load_gen.hpp"
-#include "quamax/serve/packer.hpp"
 #include "quamax/serve/service.hpp"
 
 namespace quamax {
@@ -54,39 +53,57 @@ serve::LoadConfig bpsk8_load(double jobs_per_ms, double deadline_us = 1000.0) {
   return cfg;
 }
 
-TEST(WavePackerTest, FirstFitRespectsCapacityAndShapes) {
-  auto cache = std::make_shared<chimera::EmbeddingCache>(chimera::ChimeraGraph());
-  serve::WavePacker packer(cache, 0);
+TEST(ServeTest, FifoWavesAreShapePureCappedAndCoverEveryJobOnce) {
+  // Interleaved shapes at overload, so the queue holds both shapes while
+  // waves form: 8-user (shape 8) and 12-user (shape 12) BPSK jobs.
+  serve::LoadConfig wide = bpsk8_load(300.0);
+  wide.problem.users = 12;
+  std::vector<serve::CellJob> jobs =
+      serve::LoadGenerator(bpsk8_load(300.0), 0x5A9E).open_loop(60);
+  for (serve::CellJob& job : serve::LoadGenerator(wide, 0x5A9F).open_loop(60)) {
+    job.id += 60;
+    jobs.push_back(std::move(job));
+  }
+  std::map<std::size_t, std::size_t> shape_of;  // job id -> shape
+  for (const serve::CellJob& job : jobs) shape_of[job.id] = job.shape();
 
-  // Interleave two shapes; capacities differ per shape.
-  const std::vector<std::size_t> shapes = {8, 12, 8, 8, 12, 8, 12, 12, 8, 8,
-                                           12, 8, 12, 8, 8, 8, 12, 12, 8, 12};
-  for (std::size_t j = 0; j < shapes.size(); ++j) packer.enqueue(j, shapes[j]);
+  for (const std::size_t max_wave_jobs : {0u, 3u, 1u}) {
+    auto cfg = fast_service(/*packing=*/true);
+    cfg.queue_policy = sched::QueuePolicy::kFifo;
+    cfg.max_wave_jobs = max_wave_jobs;
+    serve::DecodeService service(cfg);
+    if (max_wave_jobs == 0) {
+      EXPECT_GE(service.wave_capacity(8), 2u)
+          << "8-var problems must pack at least 2 per wave on the 2000Q chip";
+    } else {
+      EXPECT_EQ(service.wave_capacity(8), max_wave_jobs);
+      EXPECT_EQ(service.wave_capacity(12), max_wave_jobs);
+    }
+    const serve::ServiceReport report = service.run(jobs);
 
-  std::set<std::size_t> served;
-  while (!packer.empty()) {
-    const serve::Wave wave = packer.pack_next();
-    ASSERT_FALSE(wave.jobs.empty());
-    EXPECT_LE(wave.jobs.size(), packer.capacity(wave.shape));
-    for (std::size_t idx = 0; idx + 1 < wave.jobs.size(); ++idx)
-      EXPECT_LT(wave.jobs[idx], wave.jobs[idx + 1]) << "FIFO order broken";
-    for (const std::size_t j : wave.jobs) {
-      EXPECT_EQ(shapes[j], wave.shape) << "mixed shapes in one wave";
-      EXPECT_TRUE(served.insert(j).second) << "job " << j << " served twice";
+    std::set<std::size_t> served;
+    std::map<std::size_t, std::size_t> last_of_shape;  // FIFO per shape
+    std::size_t fullest = 0;
+    for (const serve::Wave& wave : report.waves) {
+      ASSERT_FALSE(wave.jobs.empty());
+      EXPECT_LE(wave.jobs.size(), service.wave_capacity(wave.shape));
+      fullest = std::max(fullest, wave.jobs.size());
+      for (const std::size_t idx : wave.jobs) {
+        EXPECT_EQ(shape_of.at(report.jobs[idx].job_id), wave.shape)
+            << "mixed shapes in one wave";
+        EXPECT_TRUE(served.insert(idx).second) << "job " << idx << " twice";
+        const auto last = last_of_shape.find(wave.shape);
+        if (last != last_of_shape.end()) {
+          EXPECT_LT(last->second, idx) << "FIFO order broken";
+        }
+        last_of_shape[wave.shape] = idx;
+      }
+    }
+    EXPECT_EQ(served.size(), jobs.size());
+    if (max_wave_jobs != 0) {
+      EXPECT_EQ(fullest, max_wave_jobs);
     }
   }
-  EXPECT_EQ(served.size(), shapes.size());
-}
-
-TEST(WavePackerTest, MaxWaveJobsCapsBelowChipCapacity) {
-  auto cache = std::make_shared<chimera::EmbeddingCache>(chimera::ChimeraGraph());
-  serve::WavePacker chip_cap(cache, 0);
-  ASSERT_GE(chip_cap.capacity(8), 2u)
-      << "8-var problems must pack at least 2 per wave on the 2000Q chip";
-  serve::WavePacker capped(cache, 3);
-  EXPECT_EQ(capped.capacity(8), 3u);
-  serve::WavePacker unpacked(cache, 1);
-  EXPECT_EQ(unpacked.capacity(8), 1u);
 }
 
 TEST(ServeTest, PreservesJobSolutionMappingAcrossWaves) {

@@ -5,8 +5,12 @@
 
 #include <cstdlib>
 #include <limits>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "quamax/anneal/annealer.hpp"
+#include "quamax/sim/knobs.hpp"
 #include "quamax/sim/runner.hpp"
 
 namespace quamax::sim {
@@ -105,180 +109,147 @@ TEST(SweepTest, RaggedMatrixThrows) {
 
 TEST(EnvScaleTest, DefaultsAndOverrides) {
   ::unsetenv("QUAMAX_SCALE");
-  EXPECT_DOUBLE_EQ(env_scale(), 1.0);
+  EXPECT_DOUBLE_EQ(knob_number("QUAMAX_SCALE"), 1.0);
   EXPECT_EQ(scaled(10), 10u);
 
   ::setenv("QUAMAX_SCALE", "0.25", 1);
-  EXPECT_DOUBLE_EQ(env_scale(), 0.25);
+  EXPECT_DOUBLE_EQ(knob_number("QUAMAX_SCALE"), 0.25);
   EXPECT_EQ(scaled(10), 3u);   // rounded
   EXPECT_EQ(scaled(1), 1u);    // floored at 1
 
   ::setenv("QUAMAX_SCALE", "garbage", 1);
-  EXPECT_DOUBLE_EQ(env_scale(), 1.0);
+  EXPECT_THROW(scaled(10), InvalidArgument);
   ::unsetenv("QUAMAX_SCALE");
 }
 
-TEST(CliKnobsTest, ThreadsAndReplicasFlagsParseBothSpellings) {
-  const char* argv1[] = {"bench", "--threads", "4", "--replicas", "16"};
-  EXPECT_EQ(cli_threads(5, const_cast<char**>(argv1)), 4u);
-  EXPECT_EQ(cli_replicas(5, const_cast<char**>(argv1)), 16u);
+/// argv for the knob lookups (the strings outlive every call).
+struct Argv {
+  std::vector<std::string> args;
+  std::vector<char*> ptrs;
+  explicit Argv(std::vector<std::string> a) : args(std::move(a)) {
+    args.insert(args.begin(), "bench");
+    for (std::string& arg : args) ptrs.push_back(arg.data());
+  }
+  int argc() { return static_cast<int>(ptrs.size()); }
+  char** argv() { return ptrs.data(); }
+};
 
-  const char* argv2[] = {"bench", "--threads=0", "--replicas=1"};
-  EXPECT_EQ(cli_threads(3, const_cast<char**>(argv2)), 0u);
-  EXPECT_EQ(cli_replicas(3, const_cast<char**>(argv2)), 1u);
+/// A row's value read back as text, whatever its kind.
+std::string read(const Knob& k, std::vector<std::string> args = {}) {
+  Argv a(std::move(args));
+  const std::string name(k.flag.empty() ? k.env : k.flag);
+  switch (k.kind) {
+    case KnobKind::kCount:
+      return std::to_string(knob_count(name, a.argc(), a.argv()));
+    case KnobKind::kNumber: {
+      std::ostringstream out;
+      out << knob_number(name, a.argc(), a.argv());
+      return out.str();
+    }
+    case KnobKind::kSwitch:
+      return knob_switch(name, a.argc(), a.argv()) ? "on" : "off";
+    default:
+      return knob_text(name, a.argc(), a.argv());
+  }
 }
 
-TEST(CliKnobsTest, MalformedOrZeroReplicasThrow) {
-  const char* negative[] = {"bench", "--replicas", "-2"};
-  EXPECT_THROW(cli_replicas(3, const_cast<char**>(negative)), InvalidArgument);
-  const char* garbage[] = {"bench", "--replicas=lots"};
-  EXPECT_THROW(cli_replicas(2, const_cast<char**>(garbage)), InvalidArgument);
-  const char* zero[] = {"bench", "--replicas", "0"};
-  EXPECT_THROW(cli_replicas(3, const_cast<char**>(zero)), InvalidArgument);
-  const char* missing[] = {"bench", "--replicas"};
-  EXPECT_THROW(cli_replicas(2, const_cast<char**>(missing)), InvalidArgument);
+TEST(KnobTableTest, EveryRowParsesFallsBackAndRejects) {
+  for (const Knob& k : knob_table()) {
+    SCOPED_TRACE(std::string(k.env));
+    const std::string env(k.env), flag(k.flag);
+    ::unsetenv(env.c_str());
+    // A valid value, how it reads back, and the malformed ones per kind.
+    std::string value = "alpha";
+    std::vector<std::string> malformed;
+    switch (k.kind) {
+      case KnobKind::kCount:
+        value = "2";
+        malformed = {"-2", "lots", "2.5", "4097", ""};
+        break;
+      case KnobKind::kNumber:
+        value = "0.5";
+        malformed = {"inf", "nan", "-1", "half", ""};
+        break;
+      case KnobKind::kChoice:
+        value = std::string(k.range.substr(k.range.rfind('|') + 1));
+        malformed = {"bogus", ""};
+        break;
+      case KnobKind::kPath:
+        value = "out.json";
+        break;
+      default:
+        break;
+    }
+    const bool is_switch = k.kind == KnobKind::kSwitch;
+    const std::string expected = is_switch ? "on" : value;
+    EXPECT_EQ(read(k), is_switch ? "off" : std::string(k.fallback));
+
+    // Environment fallback, and malformed environment values.
+    ::setenv(env.c_str(), is_switch ? "1" : value.c_str(), 1);
+    EXPECT_EQ(read(k), expected);
+    for (const std::string& bad : malformed) {
+      ::setenv(env.c_str(), bad.c_str(), 1);
+      EXPECT_THROW(read(k), InvalidArgument) << "env '" << bad << "'";
+    }
+    if (flag.empty()) {
+      ::unsetenv(env.c_str());
+      continue;  // environment-only row
+    }
+
+    // Both flag spellings win over a malformed (or switched-off) variable.
+    ::setenv(env.c_str(), malformed.empty() ? "0" : malformed[0].c_str(), 1);
+    if (is_switch) {
+      EXPECT_EQ(read(k), "off");
+      EXPECT_EQ(read(k, {flag}), "on");
+    } else {
+      EXPECT_EQ(read(k, {flag, value}), expected);
+      EXPECT_EQ(read(k, {flag + "=" + value}), expected);
+      EXPECT_THROW(read(k, {flag}), InvalidArgument) << "missing value";
+    }
+    ::unsetenv(env.c_str());
+
+    // Malformed flag values; an explicit empty path is malformed too.
+    if (k.kind == KnobKind::kPath) malformed = {""};
+    for (const std::string& bad : malformed) {
+      EXPECT_THROW(read(k, {flag, bad}), InvalidArgument) << "'" << bad << "'";
+      EXPECT_THROW(read(k, {flag + "=" + bad}), InvalidArgument);
+    }
+
+    // positional_args skips the flag in both spellings.
+    const std::vector<std::string> spelled =
+        is_switch ? std::vector<std::string>{"alpha", flag, "beta", "gamma"}
+            : std::vector<std::string>{"alpha", flag, value, "beta",
+                                       flag + "=" + value, "gamma"};
+    Argv a(spelled);
+    EXPECT_EQ(positional_args(a.argc(), a.argv()),
+              (std::vector<std::string>{"alpha", "beta", "gamma"}));
+  }
 }
 
-TEST(CliKnobsTest, AcceptModeFlagParsesBothSpellingsAndAllModes) {
-  const char* argv1[] = {"bench", "--accept-mode", "threshold"};
-  EXPECT_EQ(cli_accept_mode(3, const_cast<char**>(argv1)),
-            anneal::AcceptMode::kThreshold);
-  const char* argv2[] = {"bench", "--accept-mode=threshold32"};
-  EXPECT_EQ(cli_accept_mode(2, const_cast<char**>(argv2)),
-            anneal::AcceptMode::kThreshold32);
-  const char* argv3[] = {"bench", "--accept-mode=exact"};
-  EXPECT_EQ(cli_accept_mode(2, const_cast<char**>(argv3)),
-            anneal::AcceptMode::kExact);
-  const char* none[] = {"bench"};
+TEST(KnobTableTest, TypedGettersMapBoundsAndGuard) {
   ::unsetenv("QUAMAX_ACCEPT_MODE");
-  EXPECT_EQ(cli_accept_mode(1, const_cast<char**>(none)),
-            anneal::AcceptMode::kExact);
-}
+  EXPECT_EQ(knob_accept_mode(), std::nullopt);
+  for (const auto mode :
+       {anneal::AcceptMode::kExact, anneal::AcceptMode::kThreshold,
+        anneal::AcceptMode::kThreshold32}) {
+    Argv a({"--accept-mode", anneal::to_string(mode)});
+    EXPECT_EQ(knob_accept_mode(a.argc(), a.argv()), mode);
+  }
+  // Interval edges: [1, 4096] excludes 0, [0, 1] closes, [0, 1) opens.
+  Argv edges({"--replicas=0", "--devices=0", "--downlink=1", "--coherence=1"});
+  EXPECT_THROW(knob_count("--replicas", edges.argc(), edges.argv()),
+               InvalidArgument);
+  EXPECT_THROW(knob_count("--devices", edges.argc(), edges.argv()),
+               InvalidArgument);
+  EXPECT_DOUBLE_EQ(knob_number("--downlink", edges.argc(), edges.argv()), 1.0);
+  EXPECT_THROW(knob_number("--coherence", edges.argc(), edges.argv()),
+               InvalidArgument);
+  ::setenv("QUAMAX_SCALE", "0", 1);  // (0, inf) excludes 0
+  EXPECT_THROW(knob_number("QUAMAX_SCALE"), InvalidArgument);
+  ::unsetenv("QUAMAX_SCALE");
 
-TEST(CliKnobsTest, AcceptModeEnvFallbackAndErrors) {
-  ::setenv("QUAMAX_ACCEPT_MODE", "threshold", 1);
-  EXPECT_EQ(env_accept_mode(), anneal::AcceptMode::kThreshold);
-  const char* none[] = {"bench"};
-  EXPECT_EQ(cli_accept_mode(1, const_cast<char**>(none)),
-            anneal::AcceptMode::kThreshold);
-  // An explicit flag wins over the environment.
-  const char* flagged[] = {"bench", "--accept-mode", "threshold32"};
-  EXPECT_EQ(cli_accept_mode(3, const_cast<char**>(flagged)),
-            anneal::AcceptMode::kThreshold32);
-  ::setenv("QUAMAX_ACCEPT_MODE", "metropolis", 1);
-  EXPECT_THROW(env_accept_mode(), InvalidArgument);
-  // ...but a malformed env var cannot abort a run with a valid flag.
-  EXPECT_EQ(cli_accept_mode(3, const_cast<char**>(flagged)),
-            anneal::AcceptMode::kThreshold32);
-  ::unsetenv("QUAMAX_ACCEPT_MODE");
-
-  const char* garbage[] = {"bench", "--accept-mode=fast"};
-  EXPECT_THROW(cli_accept_mode(2, const_cast<char**>(garbage)), InvalidArgument);
-  const char* missing[] = {"bench", "--accept-mode"};
-  EXPECT_THROW(cli_accept_mode(2, const_cast<char**>(missing)), InvalidArgument);
-}
-
-TEST(CliKnobsTest, AcceptModeNamesRoundTrip) {
-  EXPECT_STREQ(anneal::to_string(anneal::AcceptMode::kExact), "exact");
-  EXPECT_STREQ(anneal::to_string(anneal::AcceptMode::kThreshold), "threshold");
-  EXPECT_STREQ(anneal::to_string(anneal::AcceptMode::kThreshold32),
-               "threshold32");
-}
-
-TEST(CliKnobsTest, AcceptModeIfSetDistinguishesAbsence) {
-  ::unsetenv("QUAMAX_ACCEPT_MODE");
-  const char* none[] = {"bench"};
-  EXPECT_EQ(cli_accept_mode_if_set(1, const_cast<char**>(none)), std::nullopt);
-  const char* flagged[] = {"bench", "--accept-mode=exact"};
-  EXPECT_EQ(cli_accept_mode_if_set(2, const_cast<char**>(flagged)),
-            anneal::AcceptMode::kExact);
-  ::setenv("QUAMAX_ACCEPT_MODE", "threshold", 1);
-  EXPECT_EQ(cli_accept_mode_if_set(1, const_cast<char**>(none)),
-            anneal::AcceptMode::kThreshold);
-  ::unsetenv("QUAMAX_ACCEPT_MODE");
-}
-
-TEST(CliKnobsTest, DevicesFlagParsesValidatesAndFallsBack) {
-  const char* argv1[] = {"bench", "--devices", "4"};
-  EXPECT_EQ(cli_devices(3, const_cast<char**>(argv1)), 4u);
-  const char* argv2[] = {"bench", "--devices=2"};
-  EXPECT_EQ(cli_devices(2, const_cast<char**>(argv2)), 2u);
-
-  ::unsetenv("QUAMAX_DEVICES");
-  const char* none[] = {"bench"};
-  EXPECT_EQ(cli_devices(1, const_cast<char**>(none)), 1u);
-  ::setenv("QUAMAX_DEVICES", "8", 1);
-  EXPECT_EQ(cli_devices(1, const_cast<char**>(none)), 8u);
-  ::unsetenv("QUAMAX_DEVICES");
-
-  const char* zero[] = {"bench", "--devices", "0"};
-  EXPECT_THROW(cli_devices(3, const_cast<char**>(zero)), InvalidArgument);
-  const char* garbage[] = {"bench", "--devices=pool"};
-  EXPECT_THROW(cli_devices(2, const_cast<char**>(garbage)), InvalidArgument);
-}
-
-TEST(CliKnobsTest, QueuePolicyFlagTransportsSpelling) {
-  const char* argv1[] = {"bench", "--queue-policy", "edf"};
-  EXPECT_EQ(cli_queue_policy(3, const_cast<char**>(argv1)), "edf");
-  const char* argv2[] = {"bench", "--queue-policy=slack"};
-  EXPECT_EQ(cli_queue_policy(2, const_cast<char**>(argv2)), "slack");
-
-  ::unsetenv("QUAMAX_QUEUE_POLICY");
-  const char* none[] = {"bench"};
-  EXPECT_EQ(cli_queue_policy(1, const_cast<char**>(none)), "fifo");
-  ::setenv("QUAMAX_QUEUE_POLICY", "slack", 1);
-  EXPECT_EQ(cli_queue_policy(1, const_cast<char**>(none)), "slack");
-  ::unsetenv("QUAMAX_QUEUE_POLICY");
-}
-
-TEST(CliKnobsTest, DownlinkFlagParsesValidatesAndFallsBack) {
-  const char* argv1[] = {"bench", "--downlink", "0.5"};
-  EXPECT_DOUBLE_EQ(cli_downlink(3, const_cast<char**>(argv1)), 0.5);
-  const char* argv2[] = {"bench", "--downlink=1"};
-  EXPECT_DOUBLE_EQ(cli_downlink(2, const_cast<char**>(argv2)), 1.0);
-
-  ::unsetenv("QUAMAX_DOWNLINK");
-  const char* none[] = {"bench"};
-  EXPECT_DOUBLE_EQ(cli_downlink(1, const_cast<char**>(none)), 0.0);
-  ::setenv("QUAMAX_DOWNLINK", "0.25", 1);
-  EXPECT_DOUBLE_EQ(cli_downlink(1, const_cast<char**>(none)), 0.25);
-  ::unsetenv("QUAMAX_DOWNLINK");
-
-  const char* above[] = {"bench", "--downlink", "1.5"};
-  EXPECT_THROW(cli_downlink(3, const_cast<char**>(above)), InvalidArgument);
-  const char* garbage[] = {"bench", "--downlink=mixed"};
-  EXPECT_THROW(cli_downlink(2, const_cast<char**>(garbage)), InvalidArgument);
-}
-
-TEST(CliKnobsTest, TauFlagParsesValidatesAndFallsBack) {
-  const char* argv1[] = {"bench", "--tau", "8"};
-  EXPECT_DOUBLE_EQ(cli_tau(3, const_cast<char**>(argv1)), 8.0);
-  const char* argv2[] = {"bench", "--tau=2.5"};
-  EXPECT_DOUBLE_EQ(cli_tau(2, const_cast<char**>(argv2)), 2.5);
-
-  ::unsetenv("QUAMAX_TAU");
-  const char* none[] = {"bench"};
-  EXPECT_DOUBLE_EQ(cli_tau(1, const_cast<char**>(none)), 0.0);
-  ::setenv("QUAMAX_TAU", "16", 1);
-  EXPECT_DOUBLE_EQ(cli_tau(1, const_cast<char**>(none)), 16.0);
-  ::unsetenv("QUAMAX_TAU");
-
-  const char* negative[] = {"bench", "--tau", "-4"};
-  EXPECT_THROW(cli_tau(3, const_cast<char**>(negative)), InvalidArgument);
-  const char* garbage[] = {"bench", "--tau=auto"};
-  EXPECT_THROW(cli_tau(2, const_cast<char**>(garbage)), InvalidArgument);
-}
-
-TEST(CliKnobsTest, PositionalArgsSkipAllFlags) {
-  const char* argv[] = {"bench",        "alpha", "--threads",
-                        "2",            "beta",  "--replicas=8",
-                        "--accept-mode", "threshold", "gamma",
-                        "--devices", "4", "--queue-policy=edf", "delta",
-                        "--downlink", "0.5", "--tau=8", "epsilon"};
-  const std::vector<std::string> positional =
-      positional_args(17, const_cast<char**>(argv));
-  EXPECT_EQ(positional, (std::vector<std::string>{"alpha", "beta", "gamma",
-                                                  "delta", "epsilon"}));
+  EXPECT_THROW(knob_count("--no-such-knob"), InvalidArgument);
+  EXPECT_THROW(knob_text("--threads"), InvalidArgument) << "wrong typed getter";
 }
 
 }  // namespace

@@ -6,7 +6,7 @@ Usage:
     metrics_check.py --emit BINARY [ARG...]
 
 The first form validates a metrics file written by
-`serve::export_metrics` (the `--metrics FILE` / `QUAMAX_METRICS` knob of
+`serve::ObsSession` (the `--metrics FILE` / `QUAMAX_METRICS` knob of
 the serving binaries, JSON flavor).  The second form runs BINARY with
 QUAMAX_METRICS pointed at a temp file, then validates what it wrote —
 this is the `metrics_roundtrip` CTest, so a change to the windowed

@@ -8,18 +8,17 @@
 // sensitivity, reaching 1e-6 BER within ~100 us in all cases.
 //
 // Each (class, jf) sweep decodes through the §4 multi-problem runtime
-// (ParallelBatchSampler::sample_problems, lane-local ChimeraAnnealers
-// sharing one shape-keyed embedding cache across the whole jf grid, as
-// bench_fig5 does) — output is bit-identical at any --threads setting.
+// (sim::run_instances, lane-local ChimeraAnnealers sharing one shape-keyed
+// embedding cache, as bench_fig5 does) — output is bit-identical at any
+// --threads setting.
 
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "quamax/anneal/annealer.hpp"
 #include "quamax/common/stats.hpp"
-#include "quamax/core/parallel_sampler.hpp"
+#include "quamax/core/thread_pool.hpp"
 #include "quamax/sim/knobs.hpp"
 #include "quamax/sim/report.hpp"
 #include "quamax/sim/runner.hpp"
@@ -37,8 +36,7 @@ struct ClassResult {
 ClassResult evaluate_class(std::size_t users, Modulation mod, double snr_db,
                            std::size_t instances, std::size_t num_anneals,
                            const anneal::AnnealerConfig& base,
-                           const std::shared_ptr<chimera::EmbeddingCache>& cache,
-                           core::ParallelBatchSampler& batch, Rng& rng) {
+                           core::ThreadPool& pool, Rng& rng) {
   const std::vector<double> jf_grid{0.35, 0.5, 0.75};
   std::vector<sim::Instance> insts;
   for (std::size_t i = 0; i < instances; ++i)
@@ -52,14 +50,8 @@ ClassResult evaluate_class(std::size_t users, Modulation mod, double snr_db,
   for (const double jf : jf_grid) {
     anneal::AnnealerConfig config = base;
     config.embed.jf = jf;
-    const auto factory = [&config,
-                          &cache]() -> std::unique_ptr<core::IsingSampler> {
-      auto annealer = std::make_unique<anneal::ChimeraAnnealer>(config);
-      annealer->set_embedding_cache(cache);
-      return annealer;
-    };
     const std::vector<sim::RunOutcome> outcomes =
-        sim::run_instances(insts, batch, factory, num_anneals, rng);
+        sim::run_instances(insts, config, pool, num_anneals, rng);
     std::vector<double> vals;
     for (const sim::RunOutcome& outcome : outcomes)
       vals.push_back(sim::outcome_ttb_us(outcome, 1e-6, 1 << 24)
@@ -84,18 +76,13 @@ int main(int argc, char** argv) {
                         ", anneals = " + std::to_string(num_anneals));
 
   anneal::AnnealerConfig config;
-  config.num_threads = 1;  // the batch runtime parallelizes ACROSS instances
   config.batch_replicas = replicas;
   config.accept_mode = accept_mode;
   config.schedule.anneal_time_us = 1.0;
   config.schedule.pause_time_us = 1.0;
   config.embed.improved_range = true;
 
-  // One probe annealer pins the chip graph and donates its shape-keyed
-  // embedding cache to every lane-local worker across every sweep point.
-  anneal::ChimeraAnnealer probe(config);
-  const std::shared_ptr<chimera::EmbeddingCache> cache = probe.embedding_cache();
-  core::ParallelBatchSampler batch(threads);
+  core::ThreadPool pool(threads);
   Rng rng{0xF173};
 
   std::printf("\nLeft panel: TTB(1e-6) vs users at SNR 20 dB\n");
@@ -106,7 +93,7 @@ int main(int argc, char** argv) {
       {14, Modulation::kQpsk}, {18, Modulation::kQpsk}};
   for (const auto& [users, mod] : user_sweep) {
     const ClassResult r = evaluate_class(users, mod, 20.0, instances,
-                                         num_anneals, config, cache, batch, rng);
+                                         num_anneals, config, pool, rng);
     sim::print_row({std::to_string(users) + "u " + wireless::to_string(mod),
                     sim::fmt_us(r.opt_median), sim::fmt_us(r.fix_mean)});
   }
@@ -118,8 +105,7 @@ int main(int argc, char** argv) {
                                                        {12, Modulation::kQpsk}}) {
     for (const double snr : {10.0, 15.0, 20.0, 30.0, 40.0}) {
       const ClassResult r = evaluate_class(users, mod, snr, instances,
-                                           num_anneals, config, cache, batch,
-                                           rng);
+                                           num_anneals, config, pool, rng);
       sim::print_row({std::to_string(users) + "u " + wireless::to_string(mod),
                       sim::fmt_double(snr, 0), sim::fmt_us(r.opt_median),
                       sim::fmt_us(r.fix_mean)});

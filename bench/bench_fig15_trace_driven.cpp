@@ -8,19 +8,18 @@
 // running many identical/different problems on the chip at once.
 //
 // This bench exercises the §4 multi-problem runtime end to end: all channel
-// uses of a sweep point decode through
-// ParallelBatchSampler::sample_problems (lane-local ChimeraAnnealer workers
-// sharing one shape-keyed embedding cache), with counter-derived per-problem
-// streams — so output is bit-identical at any --threads setting.
+// uses of a sweep point decode through sim::run_instances (lane-local
+// ChimeraAnnealer workers sharing one shape-keyed embedding cache), with
+// counter-derived per-problem streams — so output is bit-identical at any
+// --threads setting.
 
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "quamax/anneal/annealer.hpp"
 #include "quamax/common/stats.hpp"
-#include "quamax/core/parallel_sampler.hpp"
+#include "quamax/core/thread_pool.hpp"
 #include "quamax/sim/knobs.hpp"
 #include "quamax/sim/report.hpp"
 #include "quamax/sim/runner.hpp"
@@ -46,19 +45,13 @@ int main(int argc, char** argv) {
   const std::vector<double> jf_grid{0.35, 0.5, 0.75};
 
   anneal::AnnealerConfig config;
-  config.num_threads = 1;  // the batch runtime parallelizes ACROSS problems
   config.batch_replicas = replicas;
   config.accept_mode = accept_mode;
   config.schedule.anneal_time_us = 1.0;
   config.schedule.pause_time_us = 1.0;
   config.embed.improved_range = true;
 
-  // One probe annealer pins the chip graph and donates its shape-keyed
-  // embedding cache to every worker the sweep's factories build.
-  anneal::ChimeraAnnealer probe(config);
-  const std::shared_ptr<chimera::EmbeddingCache> cache = probe.embedding_cache();
-
-  core::ParallelBatchSampler batch(threads);
+  core::ThreadPool pool(threads);
 
   Rng rng{0xF175};
   for (const Modulation mod : {Modulation::kBpsk, Modulation::kQpsk}) {
@@ -69,16 +62,13 @@ int main(int argc, char** argv) {
     }
 
     sim::SweepMatrix ttb, ttf;
+    double parallel_factor = 0.0;  // P_f of the 8x8 shape (any setting)
     for (const double jf : jf_grid) {
       anneal::AnnealerConfig setting = config;
       setting.embed.jf = jf;
-      const auto factory = [&setting, &cache]() -> std::unique_ptr<core::IsingSampler> {
-        auto annealer = std::make_unique<anneal::ChimeraAnnealer>(setting);
-        annealer->set_embedding_cache(cache);
-        return annealer;
-      };
       const std::vector<sim::RunOutcome> outcomes =
-          sim::run_instances(insts, batch, factory, num_anneals, rng);
+          sim::run_instances(insts, setting, pool, num_anneals, rng);
+      parallel_factor = outcomes.front().parallel_factor;
 
       std::vector<double> ttb_row, ttf_row;
       for (const sim::RunOutcome& outcome : outcomes) {
@@ -99,9 +89,7 @@ int main(int argc, char** argv) {
 
     std::printf("\n8x8 %s (N = %zu, P_f = %.1f):\n",
                 wireless::to_string(mod).c_str(),
-                core::num_solution_variables(8, mod),
-                chimera::parallelization_factor(
-                    core::num_solution_variables(8, mod), probe.graph()));
+                core::num_solution_variables(8, mod), parallel_factor);
     sim::print_columns({"metric", "median us", "mean us", "p85 us"});
     const auto row = [&](const char* name, const std::vector<double>& v) {
       const Summary s = summarize(v);

@@ -9,17 +9,16 @@
 //   * higher-energy ranks can carry FEW bit errors (why TTB != TTS).
 //
 // All six instances share one 36-logical-qubit shape, so they decode in ONE
-// ParallelBatchSampler::sample_problems call (the §4 multi-problem runtime;
-// each lane's sampler cache compiles the clique embedding once) — output is
+// sim::run_instances call (the §4 multi-problem runtime; the lanes share one
+// embedding cache, so the clique embedding compiles once) — output is
 // bit-identical at any --threads setting.
 
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "quamax/anneal/annealer.hpp"
-#include "quamax/core/parallel_sampler.hpp"
+#include "quamax/core/thread_pool.hpp"
 #include "quamax/sim/knobs.hpp"
 #include "quamax/sim/report.hpp"
 #include "quamax/sim/runner.hpp"
@@ -60,7 +59,6 @@ int main(int argc, char** argv) {
                         " (paper: 50,000); Ta = 1 us, |J_F| Fix");
 
   anneal::AnnealerConfig config;
-  config.num_threads = 1;  // the batch runtime parallelizes ACROSS instances
   config.batch_replicas = replicas;
   config.accept_mode = accept_mode;
   config.schedule.anneal_time_us = 1.0;
@@ -68,16 +66,7 @@ int main(int argc, char** argv) {
   config.embed.improved_range = true;
   config.embed.jf = 0.35;  // Fix value serving all three modulations
 
-  // One probe annealer pins the chip graph and donates its shape-keyed
-  // embedding cache to every lane-local worker the factory builds.
-  anneal::ChimeraAnnealer probe(config);
-  const std::shared_ptr<chimera::EmbeddingCache> cache = probe.embedding_cache();
-  const auto factory = [&config, &cache]() -> std::unique_ptr<core::IsingSampler> {
-    auto annealer = std::make_unique<anneal::ChimeraAnnealer>(config);
-    annealer->set_embedding_cache(cache);
-    return annealer;
-  };
-  core::ParallelBatchSampler batch(threads);
+  core::ThreadPool pool(threads);
 
   Rng rng{0xF164};
   std::vector<sim::Instance> insts;
@@ -93,7 +82,7 @@ int main(int argc, char** argv) {
 
   std::printf("\nP0 trend across modulations (expect decreasing):");
   const std::vector<sim::RunOutcome> outcomes =
-      sim::run_instances(insts, batch, factory, num_anneals, rng);
+      sim::run_instances(insts, config, pool, num_anneals, rng);
   for (std::size_t i = 0; i < insts.size(); ++i)
     print_outcome_report(insts[i], outcomes[i], static_cast<int>(i + 1));
 

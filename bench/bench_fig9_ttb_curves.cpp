@@ -8,18 +8,17 @@
 // mean); problems get harder with more users and higher modulation.
 //
 // Each class's instances decode through the §4 multi-problem runtime
-// (ParallelBatchSampler::sample_problems with lane-local ChimeraAnnealer
-// workers sharing one shape-keyed embedding cache), as bench_fig15 does —
-// output is bit-identical at any --threads setting.
+// (sim::run_instances with lane-local ChimeraAnnealer workers sharing one
+// shape-keyed embedding cache), as bench_fig15 does — output is
+// bit-identical at any --threads setting.
 
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "quamax/anneal/annealer.hpp"
 #include "quamax/common/stats.hpp"
-#include "quamax/core/parallel_sampler.hpp"
+#include "quamax/core/thread_pool.hpp"
 #include "quamax/sim/knobs.hpp"
 #include "quamax/sim/report.hpp"
 #include "quamax/sim/runner.hpp"
@@ -47,7 +46,6 @@ int main(int argc, char** argv) {
       {4, Modulation::kQam16}, {5, Modulation::kQam16}, {6, Modulation::kQam16}};
 
   anneal::AnnealerConfig config;
-  config.num_threads = 1;  // the batch runtime parallelizes ACROSS instances
   config.batch_replicas = replicas;
   config.accept_mode = accept_mode;
   config.schedule.anneal_time_us = 1.0;
@@ -55,16 +53,7 @@ int main(int argc, char** argv) {
   config.embed.improved_range = true;
   config.embed.jf = 0.5;
 
-  // One probe annealer pins the chip graph and donates its shape-keyed
-  // embedding cache to every lane-local worker the factory builds.
-  anneal::ChimeraAnnealer probe(config);
-  const std::shared_ptr<chimera::EmbeddingCache> cache = probe.embedding_cache();
-  const auto factory = [&config, &cache]() -> std::unique_ptr<core::IsingSampler> {
-    auto annealer = std::make_unique<anneal::ChimeraAnnealer>(config);
-    annealer->set_embedding_cache(cache);
-    return annealer;
-  };
-  core::ParallelBatchSampler batch(threads);
+  core::ThreadPool pool(threads);
 
   const std::vector<double> time_grid{2,    5,    10,   20,   50,
                                       100,  200,  500,  1000, 2000,
@@ -77,7 +66,7 @@ int main(int argc, char** argv) {
       insts.push_back(sim::make_instance(
           {.users = users, .mod = mod, .kind = {}, .snr_db = {}}, rng));
     const std::vector<sim::RunOutcome> outcomes =
-        sim::run_instances(insts, batch, factory, num_anneals, rng);
+        sim::run_instances(insts, config, pool, num_anneals, rng);
 
     std::printf("\n%zu-user %s (N = %zu, P_f = %.1f):\n", users,
                 wireless::to_string(mod).c_str(),

@@ -24,9 +24,9 @@
 // at 4x4 QPSK: optimal VPP is ABOVE ZF at 6 and 9 dB, below from 12 dB on).
 //
 // Instances decode through the §4 multi-problem runtime
-// (ParallelBatchSampler::sample_problems, lane-local ChimeraAnnealers
-// sharing one shape-keyed embedding cache) — bit-identical at any
-// --threads / --replicas setting.
+// (sim::sample_problems, lane-local ChimeraAnnealers sharing one
+// shape-keyed embedding cache) — bit-identical at any --threads /
+// --replicas setting.
 //
 // `--json FILE` additionally writes a google-benchmark-shaped record
 // (one entry per experiment point, items_per_second = precoded payload
@@ -37,15 +37,15 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "quamax/anneal/annealer.hpp"
 #include "quamax/common/error.hpp"
-#include "quamax/core/parallel_sampler.hpp"
+#include "quamax/core/thread_pool.hpp"
 #include "quamax/sim/knobs.hpp"
 #include "quamax/sim/report.hpp"
+#include "quamax/sim/runner.hpp"
 #include "quamax/vpp/precode.hpp"
 
 namespace {
@@ -71,10 +71,8 @@ struct PointResult {
 /// batch runtime with the v = 0 clip, and accumulates both decoders' errors.
 PointResult run_point(const std::string& name, quamax::vpp::VppConfig cls,
                       std::size_t count, std::size_t num_anneals,
-                      quamax::core::ParallelBatchSampler& batch,
-                      const quamax::core::ParallelBatchSampler::SamplerFactory&
-                          factory,
-                      quamax::Rng& rng) {
+                      const quamax::anneal::AnnealerConfig& config,
+                      quamax::core::ThreadPool& pool, quamax::Rng& rng) {
   using namespace quamax;
   std::vector<vpp::PrecodeInstance> instances;
   instances.reserve(count);
@@ -86,8 +84,8 @@ PointResult run_point(const std::string& name, quamax::vpp::VppConfig cls,
     problems.push_back(&inst.problem.ising);
 
   const auto t0 = std::chrono::steady_clock::now();
-  const std::vector<std::vector<qubo::SpinVec>> samples =
-      batch.sample_problems(factory, problems, num_anneals, rng);
+  const std::vector<sim::ProblemSamples> samples =
+      sim::sample_problems(problems, config, pool, num_anneals, rng);
   PointResult out;
   out.cls = cls;
   out.point.name = name;
@@ -98,7 +96,7 @@ PointResult run_point(const std::string& name, quamax::vpp::VppConfig cls,
     const qubo::IsingModel& ising = inst.problem.ising;
     const qubo::SpinVec* best = nullptr;
     double best_energy = 0.0;
-    for (const qubo::SpinVec& sample : samples[i]) {
+    for (const qubo::SpinVec& sample : samples[i].samples) {
       const double energy = ising.energy(sample);
       if (best == nullptr || energy < best_energy) {
         best = &sample;
@@ -203,7 +201,6 @@ int main(int argc, char** argv) {
                : ""));
 
   anneal::AnnealerConfig config;
-  config.num_threads = 1;  // the batch runtime parallelizes ACROSS instances
   config.batch_replicas = replicas;
   config.accept_mode = accept_mode;
   config.schedule.anneal_time_us = 1.0;
@@ -213,16 +210,7 @@ int main(int argc, char** argv) {
   // complement sign bit carries weight 2, so logical couplings span a wider
   // range than MIMO decode QUBOs and need stiffer chains).
   config.embed.jf = 1.0;
-  anneal::ChimeraAnnealer probe(config);
-  const std::shared_ptr<chimera::EmbeddingCache> cache =
-      probe.embedding_cache();
-  const auto factory = [&config,
-                        &cache]() -> std::unique_ptr<core::IsingSampler> {
-    auto annealer = std::make_unique<anneal::ChimeraAnnealer>(config);
-    annealer->set_embedding_cache(cache);
-    return annealer;
-  };
-  core::ParallelBatchSampler batch(threads);
+  core::ThreadPool pool(threads);
 
   std::vector<Point> points;
   bool gate_ok = true;
@@ -259,7 +247,7 @@ int main(int argc, char** argv) {
               std::to_string(cell.antennas) + "_" +
               wireless::to_string(cell.mod) + "/snr" +
               std::to_string(static_cast<int>(snr)),
-          cls, instances, num_anneals, batch, factory, rng);
+          cls, instances, num_anneals, config, pool, rng);
       // One-sided count test with a two-sigma binomial allowance: a real
       // regression at full scale overwhelms the sqrt-of-counts slack, while
       // at smoke QUAMAX_SCALE a handful of bit errors either way is
@@ -303,7 +291,7 @@ int main(int argc, char** argv) {
       const PointResult r =
           run_point("VPP/tau_sweep/tau" +
                         std::to_string(static_cast<int>(cls.tau * 100)),
-                    cls, instances, num_anneals, batch, factory, rng);
+                    cls, instances, num_anneals, config, pool, rng);
       points.push_back(r.point);
       sim::print_row({sim::fmt_double(cls.tau, 2),
                       sim::fmt_ber(r.point.vpp_ber),

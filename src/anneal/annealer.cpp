@@ -2,21 +2,29 @@
 
 #include <algorithm>
 
+#include "quamax/core/parallel_sampler.hpp"
+
 namespace quamax::anneal {
 namespace {
 
-/// Packs one ICE realization per replica into replica-major coefficient
-/// blocks for SaEngine::anneal_batch_with: replica j draws its fields then
-/// its couplings from streams[j], exactly the scalar path's order, so the
-/// batched samples stay bit-identical to per-sample anneals.  `fields` /
-/// `couplings` receive the blocks; `f1` / `c1` are per-replica scratch —
-/// callers pass lane-local thread_locals to keep the hot loop
-/// allocation-free.
-void perturb_replica_blocks(const IceConfig& ice, const SaEngine& engine,
-                            std::vector<Rng>& streams,
-                            std::vector<double>& fields,
-                            std::vector<double>& couplings,
-                            std::vector<double>& f1, std::vector<double>& c1) {
+/// Anneals one replica block, replica j on streams[j].  ICE on: each
+/// replica draws its fields then its couplings from its stream, exactly the
+/// scalar path's order, into replica-major coefficient blocks for
+/// SaEngine::anneal_batch_with, so the batched samples stay bit-identical
+/// to per-sample anneals.  ICE off: disabled perturbation copies the base
+/// arrays and draws no RNG, so the shared-coefficient anneal_batch is
+/// bit-identical while skipping the O(R*(N+M)) block copies.
+std::vector<qubo::SpinVec> anneal_replica_block(const SaEngine& engine,
+                                                const IceConfig& ice,
+                                                const std::vector<double>& betas,
+                                                std::vector<Rng>& streams,
+                                                const qubo::SpinVec* initial,
+                                                AcceptMode accept_mode) {
+  if (!ice.enabled)
+    return engine.anneal_batch(betas, streams, initial, accept_mode);
+  // Lane-local scratch: every element is overwritten per block, so reuse
+  // across blocks is safe and keeps the hot loop allocation-free.
+  thread_local std::vector<double> fields, couplings, f1, c1;
   const std::size_t nf = engine.base_fields().size();
   const std::size_t nc = engine.base_couplings().size();
   const std::size_t R = streams.size();
@@ -30,6 +38,8 @@ void perturb_replica_blocks(const IceConfig& ice, const SaEngine& engine,
     std::copy(c1.begin(), c1.end(),
               couplings.begin() + static_cast<std::ptrdiff_t>(j * nc));
   }
+  return engine.anneal_batch_with(betas, fields, couplings, streams, initial,
+                                  accept_mode);
 }
 
 }  // namespace
@@ -59,12 +69,12 @@ void ChimeraAnnealer::set_embedding_cache(
   embeddings_ = std::move(cache);
 }
 
-core::ParallelBatchSampler& ChimeraAnnealer::batch() {
-  if (batch_ == nullptr || batch_threads_ != config_.num_threads) {
-    batch_ = std::make_unique<core::ParallelBatchSampler>(config_.num_threads);
-    batch_threads_ = config_.num_threads;
+core::ThreadPool& ChimeraAnnealer::pool() {
+  if (pool_ == nullptr || pool_threads_ != config_.num_threads) {
+    pool_ = std::make_unique<core::ThreadPool>(config_.num_threads);
+    pool_threads_ = config_.num_threads;
   }
-  return *batch_;
+  return *pool_;
 }
 
 void ChimeraAnnealer::set_config(const AnnealerConfig& config) {
@@ -121,26 +131,11 @@ std::vector<qubo::SpinVec> ChimeraAnnealer::sample(const qubo::IsingModel& probl
   // batch_replicas/num_threads setting — the engine is shared read-only.
   std::vector<qubo::SpinVec> raw(num_anneals);
   std::vector<std::size_t> broken(num_anneals, 0);
-  batch().run_blocks(
-      num_anneals, config_.batch_replicas, rng,
+  core::run_blocks(
+      pool(), num_anneals, config_.batch_replicas, rng,
       [&](std::size_t begin, std::vector<Rng>& streams) {
-        std::vector<qubo::SpinVec> physical;
-        if (ice.enabled) {
-          // Lane-local scratch: every element is overwritten per block, so
-          // reuse across blocks is safe and keeps the hot loop
-          // allocation-free.
-          thread_local std::vector<double> fields, couplings, f1, c1;
-          perturb_replica_blocks(ice, engine, streams, fields, couplings, f1,
-                                 c1);
-          physical = engine.anneal_batch_with(betas, fields, couplings, streams,
-                                              initial, config_.accept_mode);
-        } else {
-          // ICE off: disabled perturbation copies the base arrays and draws
-          // no RNG, so the shared-coefficient fast path is bit-identical
-          // while skipping the O(R*(N+M)) block copies.
-          physical =
-              engine.anneal_batch(betas, streams, initial, config_.accept_mode);
-        }
+        const std::vector<qubo::SpinVec> physical = anneal_replica_block(
+            engine, ice, betas, streams, initial, config_.accept_mode);
         for (std::size_t j = 0; j < streams.size(); ++j)
           raw[begin + j] = chimera::unembed(physical[j], embedded, streams[j],
                                             &broken[begin + j]);
@@ -224,7 +219,7 @@ std::vector<std::vector<qubo::SpinVec>> ChimeraAnnealer::sample_batch_impl(
     // compilation is a pure function of its problem and placement, written
     // to a per-index slot) and merge into one chip-wide Ising problem.
     std::vector<chimera::EmbeddedProblem> embedded(wave_size);
-    batch().for_each(wave_size, [&](std::size_t s) {
+    pool().parallel_for(wave_size, [&](std::size_t s) {
       embedded[s] = chimera::embed(*problems[wave_start + s], (*slots_all)[s],
                                    graph_, config_.embed);
     });
@@ -256,22 +251,11 @@ std::vector<std::vector<qubo::SpinVec>> ChimeraAnnealer::sample_batch_impl(
     // writing slots [begin, begin + R) of every problem in the wave.
     for (std::size_t s = 0; s < wave_size; ++s)
       results[wave_start + s].resize(num_anneals);
-    batch().run_blocks(
-        num_anneals, config_.batch_replicas, rng,
+    core::run_blocks(
+        pool(), num_anneals, config_.batch_replicas, rng,
         [&](std::size_t begin, std::vector<Rng>& streams) {
-          std::vector<qubo::SpinVec> physical;
-          if (ice.enabled) {
-            thread_local std::vector<double> fields, couplings, f1, c1;
-            perturb_replica_blocks(ice, engine, streams, fields, couplings, f1,
-                                   c1);
-            physical = engine.anneal_batch_with(betas, fields, couplings,
-                                                streams, initial,
-                                                config_.accept_mode);
-          } else {
-            // Same fast-path equivalence as sample() above.
-            physical = engine.anneal_batch(betas, streams, initial,
-                                           config_.accept_mode);
-          }
+          const std::vector<qubo::SpinVec> physical = anneal_replica_block(
+              engine, ice, betas, streams, initial, config_.accept_mode);
           qubo::SpinVec slice;
           for (std::size_t j = 0; j < streams.size(); ++j) {
             for (std::size_t s = 0; s < wave_size; ++s) {
@@ -312,24 +296,15 @@ std::vector<qubo::SpinVec> LogicalAnnealer::sample(const qubo::IsingModel& probl
   const SaEngine engine(scaled);
   const std::vector<double> betas = config_.schedule.betas();
 
-  if (batch_ == nullptr)
-    batch_ = std::make_unique<core::ParallelBatchSampler>(config_.num_threads);
+  if (pool_ == nullptr)
+    pool_ = std::make_unique<core::ThreadPool>(config_.num_threads);
 
   std::vector<qubo::SpinVec> samples(num_anneals);
-  batch_->run_blocks(
-      num_anneals, config_.batch_replicas, rng,
+  core::run_blocks(
+      *pool_, num_anneals, config_.batch_replicas, rng,
       [&](std::size_t begin, std::vector<Rng>& streams) {
-        std::vector<qubo::SpinVec> block;
-        if (config_.ice.enabled) {
-          thread_local std::vector<double> fields, couplings, f1, c1;
-          perturb_replica_blocks(config_.ice, engine, streams, fields,
-                                 couplings, f1, c1);
-          block = engine.anneal_batch_with(betas, fields, couplings, streams,
-                                           nullptr, config_.accept_mode);
-        } else {
-          block = engine.anneal_batch(betas, streams, nullptr,
-                                      config_.accept_mode);
-        }
+        std::vector<qubo::SpinVec> block = anneal_replica_block(
+            engine, config_.ice, betas, streams, nullptr, config_.accept_mode);
         for (std::size_t j = 0; j < streams.size(); ++j)
           samples[begin + j] = std::move(block[j]);
       });

@@ -26,8 +26,8 @@
 #include "quamax/chimera/embedding.hpp"
 #include "quamax/chimera/embedding_cache.hpp"
 #include "quamax/chimera/graph.hpp"
-#include "quamax/core/parallel_sampler.hpp"
 #include "quamax/core/sampler.hpp"
+#include "quamax/core/thread_pool.hpp"
 
 namespace quamax::anneal {
 
@@ -154,7 +154,8 @@ class ChimeraAnnealer final : public core::IsingSampler {
   }
 
  private:
-  core::ParallelBatchSampler& batch();
+  /// The anneal-loop lanes, rebuilt when set_config changes num_threads.
+  core::ThreadPool& pool();
 
   /// Shared wave loop behind sample_batch / sample_batch_seeded:
   /// `initial_states` null => cold forward anneal (bit-identical to the
@@ -169,8 +170,8 @@ class ChimeraAnnealer final : public core::IsingSampler {
   std::shared_ptr<chimera::EmbeddingCache> embeddings_;
   std::optional<qubo::SpinVec> initial_state_;
   double last_broken_chain_fraction_ = 0.0;
-  std::unique_ptr<core::ParallelBatchSampler> batch_;
-  std::size_t batch_threads_ = 0;  ///< requested lanes batch_ was built with
+  std::unique_ptr<core::ThreadPool> pool_;
+  std::size_t pool_threads_ = 0;  ///< requested lanes pool_ was built with
 };
 
 struct LogicalAnnealerConfig {
@@ -196,7 +197,7 @@ class LogicalAnnealer final : public core::IsingSampler {
 
  private:
   LogicalAnnealerConfig config_;
-  std::unique_ptr<core::ParallelBatchSampler> batch_;
+  std::unique_ptr<core::ThreadPool> pool_;
 };
 
 class BruteForceSampler final : public core::IsingSampler {

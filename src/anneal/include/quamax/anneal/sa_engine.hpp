@@ -53,9 +53,8 @@
 // is immutable — anneal(), anneal_with(), anneal_batch(), and
 // anneal_batch_with() are const, keep all mutable state in locals, and may
 // be called concurrently from any number of threads with per-thread Rngs.
-// The batch-anneal runtime (core::ParallelBatchSampler) relies on this to
-// share one engine across all lanes, each lane annealing its own replica
-// block.
+// The batch-anneal runtime (core::run_blocks) relies on this to share one
+// engine across all lanes, each lane annealing its own replica block.
 #pragma once
 
 #include <cstddef>

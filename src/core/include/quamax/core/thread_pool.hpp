@@ -6,7 +6,7 @@
 // each lane pulls the next unclaimed index until the range is drained.
 // Determinism is the CALLER's contract — bodies must write only to
 // per-index slots and draw randomness only from per-index sources (see
-// ParallelBatchSampler), so the claim order never affects results.
+// core::run_blocks), so the claim order never affects results.
 #pragma once
 
 #include <atomic>
@@ -43,10 +43,10 @@ class ThreadPool {
   /// Lane-aware variant: runs body(lane, i) where `lane` identifies the
   /// executing lane (0 = the calling thread, 1..size()-1 = workers).  At any
   /// moment each lane value is held by exactly one thread, so bodies may use
-  /// lane-indexed scratch (e.g. ParallelBatchSampler's lane-local sampler
-  /// cache) without synchronization.  Lane-to-index assignment is a runtime
-  /// race — determinism remains the caller's contract: results must not
-  /// depend on WHICH lane ran an index.
+  /// lane-indexed scratch (e.g. sim::sample_problems' lane-local annealers)
+  /// without synchronization.  Lane-to-index assignment is a runtime race —
+  /// determinism remains the caller's contract: results must not depend on
+  /// WHICH lane ran an index.
   void parallel_for_lanes(
       std::size_t count,
       const std::function<void(std::size_t, std::size_t)>& body);

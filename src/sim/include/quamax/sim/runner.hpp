@@ -4,14 +4,12 @@
 // parameter strategies — §5.3.2).
 #pragma once
 
-#include <functional>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "quamax/anneal/annealer.hpp"
-#include "quamax/core/parallel_sampler.hpp"
+#include "quamax/core/thread_pool.hpp"
 #include "quamax/metrics/solution_stats.hpp"
 #include "quamax/sim/instance.hpp"
 
@@ -30,19 +28,32 @@ struct RunOutcome {
 RunOutcome run_instance(const Instance& instance, core::IsingSampler& sampler,
                         std::size_t num_anneals, Rng& rng);
 
-/// The §4 multi-problem path: decodes all `instances` through
-/// ParallelBatchSampler::sample_problems — instance p is drawn `num_anneals`
-/// times with counter-derived stream p by a lane-local sampler built by
-/// `factory` — and assembles one RunOutcome per instance exactly as
-/// per-instance run_instance calls would, including the per-instance
-/// broken-chain fraction (harvested through the sampler's per-problem
-/// diagnostic hook when the factory produces ChimeraAnnealers).  Per-anneal
-/// duration and P_f come from a probe sampler built once by `factory`.
-/// Results are bit-identical at any batch thread count.
-std::vector<RunOutcome> run_instances(
-    const std::vector<Instance>& instances, core::ParallelBatchSampler& batch,
-    const core::ParallelBatchSampler::SamplerFactory& factory,
+/// One problem's draw from sample_problems.
+struct ProblemSamples {
+  std::vector<qubo::SpinVec> samples;
+  double broken_chain_fraction = 0.0;  ///< ChimeraAnnealer's, for this draw
+};
+
+/// The §4 multi-problem path: draws one key from `rng`, then anneals
+/// problem p `num_anneals` times with Rng::for_stream(key, p) on `pool`.
+/// Each lane builds one ChimeraAnnealer from `config` (num_threads forced
+/// to 1: the pool already parallelizes ACROSS problems) on first use, and
+/// every lane shares one shape-keyed embedding cache, so a sweep compiles
+/// each problem shape once.  Annealers are pure in (problem, num_anneals,
+/// stream), so results are bit-identical at any pool size.  Returns one
+/// entry per problem, in input order.
+std::vector<ProblemSamples> sample_problems(
+    const std::vector<const qubo::IsingModel*>& problems,
+    const anneal::AnnealerConfig& config, core::ThreadPool& pool,
     std::size_t num_anneals, Rng& rng);
+
+/// sample_problems over `instances`, assembled into one RunOutcome per
+/// instance exactly as run_instance on a fresh ChimeraAnnealer(config) fed
+/// stream p would build it.
+std::vector<RunOutcome> run_instances(const std::vector<Instance>& instances,
+                                      const anneal::AnnealerConfig& config,
+                                      core::ThreadPool& pool,
+                                      std::size_t num_anneals, Rng& rng);
 
 /// TTS(0.99) of one outcome, +inf when the ground state was never sampled.
 double outcome_tts_us(const RunOutcome& outcome, double confidence = 0.99);

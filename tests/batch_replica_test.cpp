@@ -2,13 +2,10 @@
 // pure throughput optimization.  anneal_batch(R) with fixed per-replica RNG
 // streams must reproduce the EXACT spins of R scalar anneal() calls —
 // including with collective-move groups and per-replica ICE coefficients —
-// the annealers must be bit-identical at any batch_replicas setting, and the
-// lane-local sampler cache must return the same samples as the uncached
-// path.
+// and the annealers must be bit-identical at any batch_replicas setting.
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <vector>
 
 #include "quamax/anneal/annealer.hpp"
@@ -226,15 +223,15 @@ TEST(BatchReplicaTest, LogicalSamplesInvariantUnderBatchReplicas) {
   EXPECT_EQ(runs[2], runs[0]);
 }
 
-TEST(BatchReplicaTest, RunBlocksHandsOutRunStreams) {
+TEST(BatchReplicaTest, RunBlocksHandsOutPerIndexStreams) {
   // run_blocks(begin, streams) must hand out exactly the per-index streams
-  // run() would, advance the caller rng by exactly one draw, and cover every
-  // index once.
-  core::ParallelBatchSampler batch(2);
+  // Rng::for_stream(key, index), advance the caller rng by exactly one draw,
+  // and cover every index once.
+  core::ThreadPool pool(2);
   Rng rng{101};
   std::vector<std::uint64_t> first_draw(23, 0);
   std::vector<int> hits(23, 0);
-  batch.run_blocks(23, 5, rng, [&](std::size_t begin, std::vector<Rng>& st) {
+  core::run_blocks(pool, 23, 5, rng, [&](std::size_t begin, std::vector<Rng>& st) {
     for (std::size_t j = 0; j < st.size(); ++j) {
       first_draw[begin + j] = st[j]();
       ++hits[begin + j];
@@ -250,34 +247,6 @@ TEST(BatchReplicaTest, RunBlocksHandsOutRunStreams) {
     Rng expect = Rng::for_stream(key, a);
     EXPECT_EQ(first_draw[a], expect()) << "index " << a;
   }
-}
-
-TEST(BatchReplicaTest, SamplerCacheMatchesUncachedPath) {
-  // The lane-local sampler cache must be invisible in the results: cached
-  // and uncached sample_problems runs coincide bit-for-bit, including when
-  // several problems share a shape and one sampler serves them all.
-  const qubo::IsingModel p0 = random_clique(9, 0xB00B);
-  const qubo::IsingModel p1 = random_clique(9, 0xB00C);
-  const qubo::IsingModel p2 = random_clique(12, 0xB00D);
-  const qubo::IsingModel p3 = random_clique(9, 0xB00E);
-  const std::vector<const qubo::IsingModel*> problems{&p0, &p1, &p2, &p3};
-  const auto factory = [] {
-    anneal::AnnealerConfig config;
-    config.schedule.anneal_time_us = 2.0;
-    return std::make_unique<anneal::ChimeraAnnealer>(config);
-  };
-
-  std::vector<std::vector<std::vector<qubo::SpinVec>>> runs;
-  for (const bool cached : {true, false}) {
-    for (const std::size_t threads : {1ul, 3ul}) {
-      core::ParallelBatchSampler batch(threads);
-      batch.set_sampler_cache(cached);
-      EXPECT_EQ(batch.sampler_cache(), cached);
-      Rng rng{4242};
-      runs.push_back(batch.sample_problems(factory, problems, 15, rng));
-    }
-  }
-  for (std::size_t v = 1; v < runs.size(); ++v) EXPECT_EQ(runs[v], runs[0]);
 }
 
 }  // namespace

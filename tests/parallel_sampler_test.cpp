@@ -6,7 +6,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <memory>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -14,6 +13,7 @@
 #include "quamax/anneal/annealer.hpp"
 #include "quamax/core/parallel_sampler.hpp"
 #include "quamax/core/thread_pool.hpp"
+#include "quamax/sim/runner.hpp"
 
 namespace quamax {
 namespace {
@@ -40,7 +40,7 @@ std::vector<qubo::SpinVec> logical_samples(const qubo::IsingModel& problem,
   return annealer.sample(problem, num_anneals, rng);
 }
 
-TEST(ParallelBatchSamplerTest, LogicalSamplesBitIdenticalAcrossThreadCounts) {
+TEST(BatchRuntimeTest, LogicalSamplesBitIdenticalAcrossThreadCounts) {
   const qubo::IsingModel problem = random_problem(64, 0xA11CE);
   const auto serial = logical_samples(problem, 200, 1, 99);
   for (const std::size_t threads : {2ul, 8ul}) {
@@ -52,7 +52,7 @@ TEST(ParallelBatchSamplerTest, LogicalSamplesBitIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(ParallelBatchSamplerTest, ChimeraSamplesBitIdenticalAcrossThreadCounts) {
+TEST(BatchRuntimeTest, ChimeraSamplesBitIdenticalAcrossThreadCounts) {
   // The full pipeline: per-anneal ICE realizations, SA on the embedded
   // problem, and majority-vote tie-breaks all draw from per-anneal streams.
   const qubo::IsingModel problem = random_problem(12, 0xC41);
@@ -72,7 +72,7 @@ TEST(ParallelBatchSamplerTest, ChimeraSamplesBitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(broken[2], broken[0]);
 }
 
-TEST(ParallelBatchSamplerTest, MultiProblemBatchBitIdenticalAcrossThreadCounts) {
+TEST(BatchRuntimeTest, MultiProblemBatchBitIdenticalAcrossThreadCounts) {
   const qubo::IsingModel p0 = random_problem(8, 1);
   const qubo::IsingModel p1 = random_problem(8, 2);
   const qubo::IsingModel p2 = random_problem(8, 3);
@@ -90,64 +90,81 @@ TEST(ParallelBatchSamplerTest, MultiProblemBatchBitIdenticalAcrossThreadCounts) 
   EXPECT_EQ(runs[2], runs[0]);
 }
 
-TEST(ParallelBatchSamplerTest, RunAdvancesCallerRngIdenticallyForAnyThreadCount) {
-  // run() must consume exactly one draw from the caller's generator, so the
-  // caller's downstream stream does not depend on the thread count either.
+class RunBlocksTest : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(RunBlocksTest, AdvancesCallerRngIdenticallyForAnyThreadCount) {
+  // run_blocks must consume exactly one draw from the caller's generator, so
+  // the caller's downstream stream does not depend on the thread count
+  // either.
   std::vector<std::uint64_t> next_draw;
   for (const std::size_t threads : {1ul, 2ul, 8ul}) {
-    core::ParallelBatchSampler batch(threads);
+    core::ThreadPool pool(threads);
     Rng rng{555};
-    batch.run(100, rng, [](std::size_t, Rng&) {});
+    core::run_blocks(pool, 100, GetParam(), rng,
+                     [](std::size_t, std::vector<Rng>&) {});
     next_draw.push_back(rng());
   }
   EXPECT_EQ(next_draw[1], next_draw[0]);
   EXPECT_EQ(next_draw[2], next_draw[0]);
 }
 
-TEST(ParallelBatchSamplerTest, RunCoversEveryIndexExactlyOnce) {
-  core::ParallelBatchSampler batch(8);
+TEST_P(RunBlocksTest, CoversEveryIndexExactlyOnce) {
+  core::ThreadPool pool(8);
   std::vector<std::atomic<int>> hits(257);
   for (auto& h : hits) h = 0;
   Rng rng{1};
-  batch.run(hits.size(), rng, [&](std::size_t a, Rng&) { ++hits[a]; });
+  core::run_blocks(pool, hits.size(), GetParam(), rng,
+                   [&](std::size_t begin, std::vector<Rng>& streams) {
+                     EXPECT_LE(streams.size(), GetParam());
+                     for (std::size_t j = 0; j < streams.size(); ++j)
+                       ++hits[begin + j];
+                   });
   for (std::size_t a = 0; a < hits.size(); ++a) EXPECT_EQ(hits[a], 1);
 }
 
-TEST(ParallelBatchSamplerTest, SampleProblemsMatchesPerProblemStreams) {
-  // sample_problems(p) must equal sampling problem p alone with stream p —
-  // the per-problem decomposition is part of the determinism contract.
+TEST_P(RunBlocksTest, PropagatesJobExceptions) {
+  core::ThreadPool pool(4);
+  Rng rng{3};
+  EXPECT_THROW(core::run_blocks(pool, 64, GetParam(), rng,
+                                [](std::size_t begin, std::vector<Rng>& streams) {
+                                  if (begin <= 13 && 13 < begin + streams.size())
+                                    throw std::runtime_error("boom");
+                                }),
+               std::runtime_error);
+}
+
+INSTANTIATE_TEST_SUITE_P(BlockSizes, RunBlocksTest, ::testing::Values(1ul, 5ul));
+
+TEST(SampleProblemsTest, MatchesPerProblemStreams) {
+  // sample_problems(p) must equal sampling problem p alone with stream p on a
+  // fresh annealer — the per-problem decomposition is part of the
+  // determinism contract.
   const qubo::IsingModel p0 = random_problem(10, 11);
   const qubo::IsingModel p1 = random_problem(10, 12);
   const std::vector<const qubo::IsingModel*> problems{&p0, &p1};
-  const auto factory = [] {
-    return std::make_unique<anneal::LogicalAnnealer>(anneal::LogicalAnnealerConfig{});
-  };
+  anneal::AnnealerConfig config;
+  config.schedule.anneal_time_us = 2.0;
 
-  core::ParallelBatchSampler batch(4);
+  core::ThreadPool pool(4);
   Rng rng{77};
-  const auto batched = batch.sample_problems(factory, problems, 30, rng);
+  const auto batched = sim::sample_problems(problems, config, pool, 30, rng);
   ASSERT_EQ(batched.size(), 2u);
 
   Rng probe{77};
   const std::uint64_t key = probe();
+  EXPECT_EQ(rng(), probe()) << "sample_problems must draw exactly one key";
   for (std::size_t p = 0; p < problems.size(); ++p) {
+    anneal::ChimeraAnnealer solo(config);
     Rng stream = Rng::for_stream(key, p);
-    const auto solo = factory()->sample(*problems[p], 30, stream);
-    EXPECT_EQ(batched[p], solo) << "problem " << p;
+    EXPECT_EQ(batched[p].samples, solo.sample(*problems[p], 30, stream))
+        << "problem " << p;
+    EXPECT_EQ(batched[p].broken_chain_fraction,
+              solo.last_broken_chain_fraction())
+        << "problem " << p;
   }
 }
 
-TEST(ParallelBatchSamplerTest, PropagatesJobExceptions) {
-  core::ParallelBatchSampler batch(4);
-  Rng rng{3};
-  EXPECT_THROW(batch.run(64, rng,
-                         [](std::size_t a, Rng&) {
-                           if (a == 13) throw std::runtime_error("boom");
-                         }),
-               std::runtime_error);
-}
-
-TEST(ParallelBatchSamplerTest, EightThreadsBeatOneOnBigBatch) {
+TEST(BatchRuntimeTest, EightThreadsBeatOneOnBigBatch) {
   if (std::thread::hardware_concurrency() < 2)
     GTEST_SKIP() << "single-core host: no parallel speedup to measure";
 

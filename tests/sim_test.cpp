@@ -83,6 +83,52 @@ TEST(RunnerTest, BruteForceOracleYieldsPerfectOutcome) {
   ASSERT_TRUE(ttb.has_value());
 }
 
+TEST(RunnerTest, RunInstancesMatchesPerInstanceStreams) {
+  // Two interleaved shapes (4 and 6 logical qubits), so each lane's one
+  // annealer serves both: outcome p must equal run_instance on a fresh
+  // annealer fed stream p, at any pool size.
+  Rng make_rng{6};
+  std::vector<Instance> insts;
+  for (int i = 0; i < 5; ++i) {
+    const ProblemClass cls =
+        i % 2 == 0
+            ? ProblemClass{.users = 4, .mod = Modulation::kBpsk, .kind = {}, .snr_db = {}}
+            : ProblemClass{.users = 3, .mod = Modulation::kQpsk, .kind = {}, .snr_db = {}};
+    insts.push_back(make_instance(cls, make_rng));
+  }
+  anneal::AnnealerConfig config;
+  config.schedule.anneal_time_us = 2.0;
+  config.embed.jf = 0.1;  // weak chains: broken_chain_fraction is exercised
+
+  for (const std::size_t threads : {1ul, 3ul}) {
+    core::ThreadPool pool(threads);
+    Rng rng{99};
+    const std::vector<RunOutcome> outcomes =
+        run_instances(insts, config, pool, 40, rng);
+    ASSERT_EQ(outcomes.size(), insts.size());
+
+    Rng probe{99};
+    const std::uint64_t key = probe();
+    double broken_total = 0.0;
+    for (std::size_t p = 0; p < insts.size(); ++p) {
+      anneal::ChimeraAnnealer fresh(config);
+      Rng stream = Rng::for_stream(key, p);
+      const RunOutcome solo = run_instance(insts[p], fresh, 40, stream);
+      const RunOutcome& got = outcomes[p];
+      EXPECT_EQ(got.stats.p0(), solo.stats.p0()) << "instance " << p;
+      for (const std::size_t na : {1ul, 10ul, 100ul})
+        EXPECT_EQ(got.stats.expected_ber(na), solo.stats.expected_ber(na))
+            << "instance " << p << ", N_a = " << na;
+      EXPECT_EQ(got.broken_chain_fraction, solo.broken_chain_fraction)
+          << "instance " << p;
+      EXPECT_EQ(got.duration_us, solo.duration_us);
+      EXPECT_EQ(got.parallel_factor, solo.parallel_factor) << "instance " << p;
+      broken_total += solo.broken_chain_fraction;
+    }
+    EXPECT_GT(broken_total, 0.0);
+  }
+}
+
 TEST(SweepTest, FixAndOptAggregation) {
   // 3 settings x 4 instances.
   const SweepMatrix matrix{

@@ -8,7 +8,9 @@
 //     both the scalar and the multi-replica batched kernel (BM_SaSweep*:
 //     the items/s column is spin-updates per second, so the batched-kernel
 //     speedup is the ratio of the two at equal replica count);
-//   * baseline detector costs (Sphere Decoder, zero-forcing).
+//   * baseline detector costs (Sphere Decoder, zero-forcing);
+//   * the serving scheduler's per-job cost under a growing backlog
+//     (BM_SchedBacklog: items/s is jobs/s).
 
 #include <benchmark/benchmark.h>
 
@@ -16,6 +18,9 @@
 #include "quamax/core/detector.hpp"
 #include "quamax/detect/linear.hpp"
 #include "quamax/detect/sphere.hpp"
+#include "quamax/sched/policy.hpp"
+#include "quamax/serve/load_gen.hpp"
+#include "quamax/serve/service.hpp"
 #include "quamax/sim/knobs.hpp"
 #include "quamax/sim/runner.hpp"
 
@@ -193,7 +198,7 @@ void BM_SaSweepBatchedThreshold32(benchmark::State& state) {
 BENCHMARK(BM_SaSweepBatchedThreshold32)->Arg(1)->Arg(8)->Arg(16)->Arg(32);
 
 // The full batched decode path at bench scale: ChimeraAnnealer::sample with
-// the configured replica block size (QUAMAX_REPLICAS; BENCHMARK_MAIN owns
+// the configured replica block size (QUAMAX_REPLICAS; Google Benchmark owns
 // argv, so only the environment knob applies here).
 void BM_ChimeraSampleBatchedPath(benchmark::State& state) {
   Rng rng{0xBA7C};
@@ -243,7 +248,7 @@ BENCHMARK(BM_ZeroForcing)->Arg(12)->Arg(30)->Arg(60);
 void BM_Eq9ExpectedBer(benchmark::State& state) {
   Rng rng{3};
   anneal::AnnealerConfig config;
-  config.num_threads = sim::knob_count("--threads");  // BENCHMARK_MAIN owns argv
+  config.num_threads = sim::knob_count("--threads");  // the library owns argv
   anneal::ChimeraAnnealer annealer(config);
   const sim::Instance inst = sim::make_instance(
       {.users = 16, .mod = Modulation::kBpsk, .kind = {}, .snr_db = {}}, rng);
@@ -253,6 +258,59 @@ void BM_Eq9ExpectedBer(benchmark::State& state) {
 }
 BENCHMARK(BM_Eq9ExpectedBer);
 
+// The perfbench `backlog` shape served end to end by DecodeService on one
+// lane: 8x8 noise-free BPSK offered at 1000 jobs/ms against ~364 jobs/ms of
+// capacity (N_a = 1, waves of at most 4 jobs, FIFO), so the queue grows for
+// the whole run.  items/s is jobs/s, load generation excluded.  Per-job
+// cost stays flat across the job counts only if every dispatch decision is
+// O(log backlog); CI requires /100000 to keep >= 0.5x the jobs/s of /1000.
+void BM_SchedBacklog(benchmark::State& state) {
+  const auto num_jobs = static_cast<std::size_t>(state.range(0));
+  serve::LoadConfig load;
+  load.arrivals = serve::ArrivalKind::kPoisson;
+  load.offered_load_jobs_per_ms = 1000.0;
+  load.deadline_us = 1000.0;
+  load.users = 8;
+  load.problem.users = 8;
+  load.problem.mod = Modulation::kBpsk;
+  load.problem.kind = wireless::ChannelKind::kRandomPhase;
+  load.problem.snr_db = std::nullopt;
+  serve::ServiceConfig config;
+  config.num_anneals = 1;
+  config.max_wave_jobs = 4;
+  config.queue_policy = sched::QueuePolicy::kFifo;
+  config.num_threads = 1;
+  serve::DecodeService service(config);
+  for (auto _ : state) {
+    state.PauseTiming();
+    serve::LoadGenerator generator(load, 1);
+    std::vector<serve::CellJob> jobs = generator.open_loop(num_jobs);
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(service.run(std::move(jobs)));
+  }
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations() * num_jobs));
+}
+BENCHMARK(BM_SchedBacklog)->Arg(1000)->Arg(100000);
+
 }  // namespace
 
-BENCHMARK_MAIN();
+#ifndef QUAMAX_BENCH_COMPILER
+#define QUAMAX_BENCH_COMPILER "unknown"
+#endif
+#ifndef QUAMAX_BENCH_BUILD_TYPE
+#define QUAMAX_BENCH_BUILD_TYPE "unknown"
+#endif
+
+// BENCHMARK_MAIN plus the build context the committed BENCH_*.json records
+// carry: the library's own context has the CPU count, not how quamax was
+// compiled.
+int main(int argc, char** argv) {
+  benchmark::AddCustomContext("quamax_compiler", QUAMAX_BENCH_COMPILER);
+  benchmark::AddCustomContext("quamax_build_type", QUAMAX_BENCH_BUILD_TYPE);
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

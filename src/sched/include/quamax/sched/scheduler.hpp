@@ -12,12 +12,20 @@
 // same devices; shape-aware routing and wave packing only ever see the
 // logical variable count, so mixed-direction waves of one shape are legal.
 //
-//   submit(job) ───► staged ──admit──► pending (policy-ordered view)
-//                                         │ shape-aware routing: a wave only
-//                                         ▼ lands on a device it embeds on
+//   submit(job) ───► staged ──admit──► pending index, one per shape,
+//                                      ordered by the policy's static key
+//                                         │ shape-aware routing: each shape
+//                                         │ that embeds on the free device
+//                                         ▼ offers its policy head
 //                              per-device waves on the virtual clock
 //                                         │
 //   collect(t) ◄── decode compute (ThreadPool, per-wave RNG streams) ◄──┘
+//
+// Every dispatch decision costs O(#shapes * log n + wave cap) for a backlog
+// of n jobs: admission, requeue and dispatch are ordered inserts/erases,
+// and the doom split the slack policy and the doom sweep need is a
+// lower_bound on the (deadline, seq) order (see "The scheduler" in
+// docs/ARCHITECTURE.md for why that split is exact).
 //
 // The two-clock split of PR 3 is preserved exactly:
 //
@@ -51,10 +59,14 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <functional>
+#include <map>
 #include <memory>
 #include <queue>
+#include <set>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "quamax/anneal/annealer.hpp"
@@ -134,9 +146,10 @@ struct SchedConfig {
   /// the plan's OWN seed via a dedicated stream family keyed by wave id,
   /// never from `seed`'s root stream) and adds no virtual-clock events.
   std::shared_ptr<const fault::FaultPlan> fault;
-  /// Retry budget per job: a member of a failed wave is re-queued (policy
-  /// re-sorted, earliest re-dispatch fail + retry_backoff_us) at most this
-  /// many times before the fallback ladder ends it.  0 = no retries.
+  /// Retry budget per job: a member of a failed wave is re-queued (back at
+  /// its policy position, earliest re-dispatch fail + retry_backoff_us) at
+  /// most this many times before the fallback ladder ends it.  0 = no
+  /// retries.
   std::size_t max_retries = 0;
   double retry_backoff_us = 0.0;
   /// Classical fallback (fault::classical_decode, zero RNG, driver thread):
@@ -274,6 +287,20 @@ class Scheduler {
     }
   };
 
+  /// (policy key, seq): seq order for fifo, (deadline, seq) for edf/slack.
+  using Key = std::pair<double, std::size_t>;
+  /// Admitted, undispatched jobs of one shape.  With doom tracking off
+  /// every job sits in `queue`.  With it on, jobs that are born doomed sit
+  /// in `born_doomed` instead, so the doomed jobs at instant t are exactly
+  /// the (deadline, seq) prefix below t + service plus `born_doomed`.
+  struct ShapeQueue {
+    std::set<Key> queue;        ///< by policy key
+    std::set<Key> born_doomed;  ///< by policy key; doom tracking only
+    /// (deadline, seq) copy of `queue`, kept only for fifo with a doom
+    /// sweep (edf/slack's `queue` already has that order).
+    std::set<Key> deadlines;
+  };
+
   Round round(double horizon_us);
   void admit_up_to(double t_us);
   void sweep_doomed(double t_free_us);
@@ -306,6 +333,20 @@ class Scheduler {
                                                    : jobs_[seq].arrival_us;
     return lo > job_ready_us_[seq] ? lo : job_ready_us_[seq];
   }
+  /// Whether job `seq` is doomed at EVERY dispatch instant: its deadline
+  /// precedes a cold wave started at its arrival or at its retry-backoff
+  /// readiness.  Fixed while the job is queued.
+  bool born_doomed(std::size_t seq) const;
+  Key policy_key(std::size_t seq) const;
+  /// Whether any decision reads the doom split: a doom sweep runs
+  /// (drop_late or a fallback) or the slack policy orders by it.
+  bool tracks_doom() const;
+  void enqueue(std::size_t seq);
+  void dequeue(std::size_t seq);
+  /// Start of the shape's jobs still feasible at `t_us` (slack's first
+  /// class), or queue.end() when the policy ignores feasibility.
+  std::set<Key>::const_iterator feasible_begin(const ShapeQueue& q,
+                                               double t_us) const;
   /// Whether job `seq` would be warm-started at dispatch instant
   /// `t_free_us`: warm_start on, uplink with a known predecessor that was
   /// dispatched (not dropped), decoded uplink, and completed by
@@ -314,7 +355,8 @@ class Scheduler {
   bool warm_eligible(std::size_t seq, double t_free_us) const;
   std::size_t effective_capacity(std::size_t device, std::size_t shape);
   /// Policy order at dispatch instant `t_us`: feasibility class (slack
-  /// only), then deadline (edf/slack), then sequence.
+  /// only), then deadline (edf/slack), then sequence.  Ranks the per-shape
+  /// heads; within a shape the pending index walks this order directly.
   bool policy_before(std::size_t a, std::size_t b, double t_us) const;
   void dispatch_wave(std::size_t device, double t_free_us, std::size_t seed_seq);
   void execute_due(double t_us);
@@ -345,11 +387,15 @@ class Scheduler {
   std::unordered_map<std::size_t, std::size_t> id_to_seq_;  ///< job id -> seq
   DispatchHook hook_;
 
-  std::vector<serve::CellJob> jobs_;  ///< by sequence number
+  /// By sequence number.  A deque grows without relocating its elements;
+  /// a vector's doubling would move every staged job, a submit-latency
+  /// spike that grows with the run.
+  std::deque<serve::CellJob> jobs_;
   std::vector<serve::JobRecord> records_;
   std::vector<JobState> states_;
   std::size_t admit_cursor_ = 0;        ///< first staged (unadmitted) seq
-  std::vector<std::size_t> pending_;    ///< admitted, undispatched; seq order
+  /// By shape; a shape with no pending job has no entry.
+  std::map<std::size_t, ShapeQueue> pending_;
   double now_us_ = 0.0;
   double last_arrival_us_ = 0.0;
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <set>
 #include <string>
 #include <utility>
 
@@ -23,6 +24,44 @@ bool reaches_ground(double best_energy, double ground_energy) {
 }
 
 constexpr double kInfinity = std::numeric_limits<double>::infinity();
+
+using Key = std::pair<double, std::size_t>;
+using KeySet = std::set<Key>;
+
+/// One shape's pending jobs in policy order at a dispatch instant: first
+/// queue[split, end) — slack's feasible suffix, empty for fifo/edf — then
+/// queue[begin, split) merged by key with the born-doomed set.
+class PolicyWalk {
+ public:
+  PolicyWalk(const KeySet& queue, const KeySet& born_doomed,
+             KeySet::const_iterator split)
+      : first_(split),
+        queue_end_(queue.end()),
+        rest_(queue.begin()),
+        split_(split),
+        doomed_(born_doomed.begin()),
+        doomed_end_(born_doomed.end()) {}
+
+  /// Writes the next job's seq; false once every job was visited.
+  bool next(std::size_t& seq) {
+    if (first_ != queue_end_) {
+      seq = (first_++)->second;
+      return true;
+    }
+    const bool rest = rest_ != split_;
+    const bool doomed = doomed_ != doomed_end_;
+    if (!rest && !doomed) return false;
+    if (rest && (!doomed || *rest_ < *doomed_))
+      seq = (rest_++)->second;
+    else
+      seq = (doomed_++)->second;
+    return true;
+  }
+
+ private:
+  KeySet::const_iterator first_, queue_end_, rest_, split_, doomed_,
+      doomed_end_;
+};
 
 }  // namespace
 
@@ -114,6 +153,9 @@ double Scheduler::warm_wave_service_us() const {
 std::size_t Scheduler::submit(serve::CellJob job) {
   require(job.arrival_us >= last_arrival_us_,
           "Scheduler::submit: jobs must arrive in non-decreasing order");
+  // Deadlines key the edf/slack order; NaN has no place in an order.
+  require(!std::isnan(job.deadline_us),
+          "Scheduler::submit: job deadline is NaN");
   // Under a fault plan an unservable shape (a defect growth may have eaten
   // the last embedding mid-run) rides the fallback ladder below instead of
   // throwing; without one the historical contract holds.
@@ -241,9 +283,9 @@ Scheduler::Round Scheduler::round(double horizon_us) {
     // classically instead of dropped).
     admit_up_to(t_free);
     if (config_.drop_late || config_.fallback != fault::FallbackMode::kNone) {
-      const std::size_t before = pending_.size();
+      const bool had_pending = !pending_.empty();
       sweep_doomed(t_free);
-      if (pending_.empty() && before > 0) {
+      if (pending_.empty() && had_pending) {
         // The sweep emptied the queue: requeue the device and let the next
         // round (any device) jump forward, exactly like the batch loop.
         free_devices_.emplace(t_free, device);
@@ -253,13 +295,15 @@ Scheduler::Round Scheduler::round(double horizon_us) {
     if (pending_.empty()) continue;  // nothing admitted yet; jump again
 
     // Shape-aware routing: seed with the policy-best pending job whose
-    // shape this device can embed.
+    // shape this device can embed — the best of the fitting shapes' heads.
     std::size_t seed_seq = jobs_.size();
     bool found = false;
-    for (const std::size_t seq : pending_) {
-      if (!devices_->fits(device, jobs_[seq].shape())) continue;
-      if (!found || policy_before(seq, seed_seq, t_free)) {
-        seed_seq = seq;
+    for (const auto& [shape, q] : pending_) {
+      if (!devices_->fits(device, shape)) continue;
+      std::size_t head = 0;
+      PolicyWalk(q.queue, q.born_doomed, feasible_begin(q, t_free)).next(head);
+      if (!found || policy_before(head, seed_seq, t_free)) {
+        seed_seq = head;
         found = true;
       }
     }
@@ -293,7 +337,7 @@ void Scheduler::admit_up_to(double t_us) {
         finalize_failed(seq, jobs_[seq].arrival_us, jobs_[seq].arrival_us);
       continue;
     }
-    pending_.push_back(seq);
+    enqueue(seq);
     admitted = true;
   }
   if (admitted && !parked_.empty()) {
@@ -308,18 +352,24 @@ void Scheduler::admit_up_to(double t_us) {
 // start_at(seq, t_free) — can no longer save is shed.  With a fallback
 // configured a doomed job completes classically RIGHT NOW instead of
 // dropping (the degraded-mode guarantee; fallback wins over drop_late).
-// Scans the whole queue, so it is correct for heterogeneous per-job budgets
-// (HARQ class mixes).
+// The doomed jobs are each shape's (deadline, seq) prefix below
+// t_free + service plus its born-doomed set, so per-job budgets may differ
+// (HARQ class mixes); they are shed in sequence order.
 void Scheduler::sweep_doomed(double t_free_us) {
-  const double service_us = wave_service_us();
-  std::vector<std::size_t> survivors;
-  survivors.reserve(pending_.size());
-  for (const std::size_t seq : pending_) {
+  const Key bound{t_free_us + wave_service_us(), 0};
+  std::vector<std::size_t> doomed;
+  for (const auto& [shape, q] : pending_) {
+    const KeySet& by_deadline =
+        config_.policy == QueuePolicy::kFifo ? q.deadlines : q.queue;
+    for (auto it = by_deadline.begin();
+         it != by_deadline.end() && *it < bound; ++it)
+      doomed.push_back(it->second);
+    for (const Key& key : q.born_doomed) doomed.push_back(key.second);
+  }
+  std::sort(doomed.begin(), doomed.end());
+  for (const std::size_t seq : doomed) {
+    dequeue(seq);
     const double start_us = start_at(seq, t_free_us);
-    if (jobs_[seq].deadline_us >= start_us + service_us) {
-      survivors.push_back(seq);
-      continue;
-    }
     if (config_.fallback != fault::FallbackMode::kNone) {
       finalize_fallback(seq, start_us, start_us);
       continue;
@@ -339,7 +389,6 @@ void Scheduler::sweep_doomed(double t_free_us) {
     }
     if (hook_) hook_(jobs_[seq], start_us);
   }
-  pending_ = std::move(survivors);
 }
 
 bool Scheduler::process_faults(double t_us) {
@@ -382,14 +431,17 @@ bool Scheduler::process_faults(double t_us) {
         // Lane workers cached the old chip; rebuild lazily on next use.
         for (auto& lane : workers_) lane[growth.device].reset();
         // Pending jobs whose shape the shrunken pool can no longer embed
-        // anywhere resolve now (fallback or terminal failure).
-        std::vector<std::size_t> survivors;
-        survivors.reserve(pending_.size());
-        for (const std::size_t seq : pending_) {
-          if (devices_->max_capacity(jobs_[seq].shape()) > 0) {
-            survivors.push_back(seq);
-            continue;
-          }
+        // anywhere resolve now (fallback or terminal failure), in sequence
+        // order.
+        std::vector<std::size_t> lost;
+        for (const auto& [shape, q] : pending_) {
+          if (devices_->max_capacity(shape) > 0) continue;
+          for (const Key& key : q.queue) lost.push_back(key.second);
+          for (const Key& key : q.born_doomed) lost.push_back(key.second);
+        }
+        std::sort(lost.begin(), lost.end());
+        for (const std::size_t seq : lost) {
+          dequeue(seq);
           const double at = std::max(growth.time_us, jobs_[seq].arrival_us);
           if (config_.fallback != fault::FallbackMode::kNone)
             finalize_fallback(seq, at, at);
@@ -397,7 +449,6 @@ bool Scheduler::process_faults(double t_us) {
             finalize_failed(seq, at, at);
           finalized = true;
         }
-        pending_ = std::move(survivors);
         break;
       }
       case FaultKind::kWaveFail: {
@@ -422,8 +473,7 @@ bool Scheduler::process_faults(double t_us) {
               (config_.fallback == fault::FallbackMode::kNone || slack_ok)) {
             states_[seq] = JobState::kQueued;
             job_ready_us_[seq] = ready;
-            pending_.insert(
-                std::lower_bound(pending_.begin(), pending_.end(), seq), seq);
+            enqueue(seq);
             requeued = true;
             if (config_.trace != nullptr) {
               obs::JobRetryEvent event;
@@ -568,6 +618,56 @@ bool Scheduler::warm_eligible(std::size_t seq, double t_free_us) const {
   return records_[pred].completion_us <= t_free_us;
 }
 
+bool Scheduler::born_doomed(std::size_t seq) const {
+  // fl(x + s) is monotone in x, so the doom test at instant t,
+  // deadline < fl(max(t, arrival, ready) + s), holds exactly when the
+  // deadline fails against t, arrival or ready alone.  The last two are
+  // fixed while the job is queued.
+  const double service_us = wave_service_us();
+  const double deadline = jobs_[seq].deadline_us;
+  return deadline < jobs_[seq].arrival_us + service_us ||
+         deadline < job_ready_us_[seq] + service_us;
+}
+
+Scheduler::Key Scheduler::policy_key(std::size_t seq) const {
+  if (config_.policy == QueuePolicy::kFifo) return {0.0, seq};
+  return {jobs_[seq].deadline_us, seq};
+}
+
+bool Scheduler::tracks_doom() const {
+  return config_.drop_late || config_.fallback != fault::FallbackMode::kNone ||
+         config_.policy == QueuePolicy::kSlack;
+}
+
+void Scheduler::enqueue(std::size_t seq) {
+  ShapeQueue& q = pending_[jobs_[seq].shape()];
+  if (tracks_doom() && born_doomed(seq)) {
+    q.born_doomed.insert(policy_key(seq));
+    return;
+  }
+  q.queue.insert(policy_key(seq));
+  if (tracks_doom() && config_.policy == QueuePolicy::kFifo)
+    q.deadlines.emplace(jobs_[seq].deadline_us, seq);
+}
+
+void Scheduler::dequeue(std::size_t seq) {
+  const auto it = pending_.find(jobs_[seq].shape());
+  ShapeQueue& q = it->second;
+  if (tracks_doom() && born_doomed(seq)) {
+    q.born_doomed.erase(policy_key(seq));
+  } else {
+    q.queue.erase(policy_key(seq));
+    q.deadlines.erase({jobs_[seq].deadline_us, seq});
+  }
+  if (q.queue.empty() && q.born_doomed.empty()) pending_.erase(it);
+}
+
+KeySet::const_iterator Scheduler::feasible_begin(
+    const ShapeQueue& q, double t_us) const {
+  if (config_.policy != QueuePolicy::kSlack) return q.queue.end();
+  return q.queue.lower_bound({t_us + wave_service_us(), 0});
+}
+
 std::size_t Scheduler::effective_capacity(std::size_t device, std::size_t shape) {
   return clamp_wave_jobs(devices_->capacity(device, shape), config_.packing,
                          config_.max_wave_jobs);
@@ -612,17 +712,14 @@ void Scheduler::dispatch_wave(std::size_t device, double t_free_us,
   // this instant may fill it; the others stay queued for a later wave.
   const bool warm = warm_eligible(seed_seq, t_free_us);
 
-  // Fill with the policy-best same-shape jobs (the seed is one of them).
+  // Fill with the policy-best same-shape jobs (the seed, the shape's head,
+  // is the first of them).
   std::vector<std::size_t> same_shape;
-  for (const std::size_t seq : pending_)
-    if (jobs_[seq].shape() == shape &&
-        warm_eligible(seq, t_free_us) == warm)
-      same_shape.push_back(seq);
-  std::sort(same_shape.begin(), same_shape.end(),
-            [&](std::size_t a, std::size_t b) {
-              return policy_before(a, b, t_free_us);
-            });
-  if (same_shape.size() > cap) same_shape.resize(cap);
+  const ShapeQueue& q = pending_.at(shape);
+  PolicyWalk walk(q.queue, q.born_doomed, feasible_begin(q, t_free_us));
+  for (std::size_t seq = 0; same_shape.size() < cap && walk.next(seq);)
+    if (warm_eligible(seq, t_free_us) == warm) same_shape.push_back(seq);
+  for (const std::size_t seq : same_shape) dequeue(seq);
   // Wave membership is recorded in sequence order whatever the policy, so
   // the wave log (and the job -> sample mapping) has one canonical form.
   std::sort(same_shape.begin(), same_shape.end());
@@ -695,11 +792,6 @@ void Scheduler::dispatch_wave(std::size_t device, double t_free_us,
       records_[seq].wave_id = wave.id;
       states_[seq] = JobState::kInFlight;
     }
-    pending_.erase(std::remove_if(pending_.begin(), pending_.end(),
-                                  [&](std::size_t seq) {
-                                    return states_[seq] != JobState::kQueued;
-                                  }),
-                   pending_.end());
     free_devices_.emplace(wave.fail_us, device);
     fault_events_.push(
         {wave.fail_us, fault_event_order_++, FaultKind::kWaveFail, wave.id});
@@ -729,11 +821,6 @@ void Scheduler::dispatch_wave(std::size_t device, double t_free_us,
     }
     if (hook_) hook_(jobs_[seq], wave.completion_us);
   }
-  pending_.erase(std::remove_if(pending_.begin(), pending_.end(),
-                                [&](std::size_t seq) {
-                                  return states_[seq] != JobState::kQueued;
-                                }),
-                 pending_.end());
 
   // The device idles from t_free to the (possibly later) dispatch.
   free_devices_.emplace(wave.completion_us, device);

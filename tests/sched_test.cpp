@@ -11,7 +11,10 @@
 //   * shape-aware routing: a wave only lands on a device whose defect map
 //     can embed its shape, and unroutable shapes are rejected at submit;
 //   * DeviceSet keys embedding caches by topology: identical devices share
-//     one cache, defect-distinct devices get their own.
+//     one cache, defect-distinct devices get their own;
+//   * the per-shape pending index keeps the exact doom split (to the ulp,
+//     for jobs doomed by retry backoff or by a future arrival) and the
+//     policy order across shapes, growth drains and requeues.
 
 #include <gtest/gtest.h>
 
@@ -21,8 +24,10 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <utility>
 #include <vector>
 
+#include "quamax/fault/plan.hpp"
 #include "quamax/sched/client.hpp"
 #include "quamax/sched/device_set.hpp"
 #include "quamax/sched/policy.hpp"
@@ -277,6 +282,250 @@ TEST(SchedTest, SubmitRequiresMonotoneArrivals) {
   sched::SchedClient client(fast_sched());
   client.submit(gen.job(0, 0, 100.0));
   EXPECT_THROW(client.submit(gen.job(1, 1, 50.0)), InvalidArgument);
+}
+
+// ---------------------------------------------------------------------------
+// Pending-index edge cases: the per-shape policy index must reproduce the
+// policy order and the exact doom split at every boundary.
+
+/// A hand-placed job of shape 8 (BPSK) or 16 (QPSK) with an explicit
+/// deadline.
+serve::CellJob hand_job(std::size_t id, std::size_t shape, double arrival_us,
+                        double deadline_us) {
+  serve::LoadConfig load = bpsk8_load(10.0);
+  if (shape == 16) load.problem.mod = wireless::Modulation::kQpsk;
+  serve::LoadGenerator gen(load, 0xED6E);
+  serve::CellJob job = gen.job(id, id % 8, arrival_us);
+  EXPECT_EQ(job.shape(), shape);
+  job.deadline_us = deadline_us;
+  return job;
+}
+
+/// One job per wave, 30 us per wave (fast_sched: 10 us overhead + 20 x 1 us).
+sched::SchedConfig one_job_waves(sched::QueuePolicy policy) {
+  sched::SchedConfig cfg = fast_sched();
+  cfg.packing = false;
+  cfg.policy = policy;
+  return cfg;
+}
+
+std::vector<serve::JobRecord> run_jobs(const sched::SchedConfig& cfg,
+                                       std::vector<serve::CellJob> jobs) {
+  sched::Scheduler scheduler(cfg);
+  for (serve::CellJob& job : jobs) scheduler.submit(std::move(job));
+  scheduler.finish();
+  return scheduler.records();
+}
+
+/// A plan whose only event is an outage of `device` over [start, end).
+std::shared_ptr<fault::FaultPlan> outage_plan(std::size_t device,
+                                              double start_us, double end_us) {
+  auto plan = std::make_shared<fault::FaultPlan>();
+  plan->outages.push_back({device, start_us, end_us});
+  return plan;
+}
+
+TEST(SchedIndexTest, DoomBoundaryIsExactToTheUlp) {
+  // Job 0 holds the device over [0.1, t).  At t the doom boundary is
+  // fl(t + 30): job 1's deadline sits one ulp below it, job 2's exactly on
+  // it (a wave finishing AT the deadline is on time).
+  const double t = 0.1 + 30.0;
+  const double boundary = t + 30.0;
+  const std::vector<serve::CellJob> jobs = {
+      hand_job(0, 8, 0.1, 1000.0),
+      hand_job(1, 8, 0.2, std::nextafter(boundary, 0.0)),
+      hand_job(2, 8, 0.2, boundary)};
+
+  // EDF ignores doom: the earlier deadline goes first.
+  const auto edf = run_jobs(one_job_waves(sched::QueuePolicy::kEdf), jobs);
+  EXPECT_EQ(edf[1].dispatch_us, t);
+  EXPECT_EQ(edf[2].dispatch_us, boundary);
+
+  // Slack: job 1 is doomed at t, job 2 is not, so job 2 goes first.
+  const auto slack = run_jobs(one_job_waves(sched::QueuePolicy::kSlack), jobs);
+  EXPECT_EQ(slack[2].dispatch_us, t);
+  EXPECT_EQ(slack[2].completion_us, boundary);
+  EXPECT_FALSE(slack[2].missed_deadline());
+  EXPECT_EQ(slack[1].dispatch_us, boundary);
+
+  // drop_late sheds exactly the doomed one, at t.
+  sched::SchedConfig drop = one_job_waves(sched::QueuePolicy::kEdf);
+  drop.drop_late = true;
+  const auto dropped = run_jobs(drop, jobs);
+  EXPECT_TRUE(dropped[1].dropped);
+  EXPECT_EQ(dropped[1].completion_us, t);
+  EXPECT_FALSE(dropped[2].dropped);
+  EXPECT_EQ(dropped[2].dispatch_us, t);
+}
+
+TEST(SchedIndexTest, RetryBackoffBeyondTheDeadlineIsBornDoomed) {
+  // Job 0 starts on device 0 at 0; an outage aborts its wave at 10 and the
+  // retry is ready at 10 + 50 = 60.  Device 1 looks at it at t = 10, where
+  // fl(t + 30) = 40 <= deadline 80 — but no wave can start before 60, and
+  // 60 + 30 > 80, so the job is doomed from the moment it is re-queued.
+  const std::vector<serve::CellJob> jobs = {hand_job(0, 8, 0.0, 80.0),
+                                            hand_job(1, 8, 10.0, 500.0)};
+  const auto config = [](sched::QueuePolicy policy) {
+    sched::SchedConfig cfg = one_job_waves(policy);
+    cfg.devices = sched::uniform_devices(cfg.annealer, 2);
+    cfg.fault = outage_plan(0, 10.0, 1000.0);
+    cfg.max_retries = 1;
+    cfg.retry_backoff_us = 50.0;
+    return cfg;
+  };
+
+  // Slack serves the feasible job 1 first; the doomed retry waits.
+  const auto slack = run_jobs(config(sched::QueuePolicy::kSlack), jobs);
+  EXPECT_EQ(slack[0].retries, 1u);
+  EXPECT_EQ(slack[1].dispatch_us, 10.0);
+  EXPECT_EQ(slack[0].dispatch_us, 60.0);
+
+  // EDF serves the retry first (earlier deadline), starting at readiness.
+  const auto edf = run_jobs(config(sched::QueuePolicy::kEdf), jobs);
+  EXPECT_EQ(edf[0].dispatch_us, 60.0);
+  EXPECT_EQ(edf[1].dispatch_us, 90.0);
+
+  // drop_late sheds the retry at its earliest start, 60.
+  sched::SchedConfig drop = config(sched::QueuePolicy::kEdf);
+  drop.drop_late = true;
+  const auto dropped = run_jobs(drop, jobs);
+  EXPECT_TRUE(dropped[0].dropped);
+  EXPECT_EQ(dropped[0].retries, 1u);
+  EXPECT_EQ(dropped[0].completion_us, 60.0);
+  EXPECT_EQ(dropped[1].dispatch_us, 10.0);
+}
+
+TEST(SchedIndexTest, FutureArrivalOnReArmedDeviceIsBornDoomed) {
+  // Device 1 (dead rows: no shape 16) parks at t = 1 behind job 1.  Device
+  // 0's round at 30 admits jobs 2 and 3 (arrival 20) and re-arms device 1
+  // at its old time 1.  There, fl(1 + 30) = 31 <= job 2's deadline 40, but
+  // job 2 cannot start before its arrival at 20 and 20 + 30 > 40: doomed.
+  const std::vector<serve::CellJob> jobs = {
+      hand_job(0, 16, 0.0, 1000.0), hand_job(1, 16, 1.0, 100.0),
+      hand_job(2, 8, 20.0, 40.0), hand_job(3, 8, 20.0, 200.0)};
+  sched::SchedConfig cfg = one_job_waves(sched::QueuePolicy::kSlack);
+  cfg.devices = {sched::DeviceSpec{},
+                 sched::DeviceSpec{.disabled = dead_row_map()}};
+
+  // Device 1 serves the feasible job 3 at its arrival, job 2 after.
+  const auto slack = run_jobs(cfg, jobs);
+  EXPECT_EQ(slack[1].dispatch_us, 30.0);  // device 0, after job 0
+  EXPECT_EQ(slack[3].dispatch_us, 20.0);
+  EXPECT_EQ(slack[2].dispatch_us, 50.0);
+
+}
+
+TEST(SchedIndexTest, SlackMergesDoomedJobsByDeadline) {
+  // At t = 30: job 2 is feasible; job 1 is doomed by t (50 < 60) and job 3
+  // was born doomed (40 < 20 + 30).  The doomed ones follow in deadline
+  // order, whichever way they became doomed.
+  const std::vector<serve::CellJob> jobs = {
+      hand_job(0, 8, 0.0, 1000.0), hand_job(1, 8, 1.0, 50.0),
+      hand_job(2, 8, 1.0, 500.0), hand_job(3, 8, 20.0, 40.0)};
+  const auto slack = run_jobs(one_job_waves(sched::QueuePolicy::kSlack), jobs);
+  EXPECT_EQ(slack[2].dispatch_us, 30.0);
+  EXPECT_EQ(slack[3].dispatch_us, 60.0);
+  EXPECT_EQ(slack[1].dispatch_us, 90.0);
+}
+
+TEST(SchedIndexTest, DoomSweepShedsInSequenceOrder) {
+  // At t = 30 jobs 1-3 are doomed by t, with deadlines falling in sequence
+  // order, and job 4 was born doomed (20 < 4 + 30).  The sweep must drop
+  // them, and reach the hook, in sequence order under both index layouts.
+  for (const sched::QueuePolicy policy :
+       {sched::QueuePolicy::kFifo, sched::QueuePolicy::kEdf}) {
+    std::vector<serve::CellJob> jobs = {
+        hand_job(0, 8, 0.0, 1000.0), hand_job(1, 8, 1.0, 50.0),
+        hand_job(2, 8, 2.0, 45.0), hand_job(3, 8, 3.0, 40.0),
+        hand_job(4, 8, 4.0, 20.0)};
+    sched::SchedConfig cfg = one_job_waves(policy);
+    cfg.drop_late = true;
+    sched::Scheduler scheduler(cfg);
+    std::vector<std::size_t> hook_order;
+    scheduler.set_dispatch_hook([&](const serve::CellJob& job, double) {
+      hook_order.push_back(job.id);
+    });
+    for (serve::CellJob& job : jobs) scheduler.submit(std::move(job));
+    scheduler.finish();
+    EXPECT_EQ(hook_order, (std::vector<std::size_t>{0, 1, 2, 3, 4}))
+        << sched::to_string(policy);
+    for (std::size_t seq = 1; seq <= 4; ++seq)
+      EXPECT_TRUE(scheduler.records()[seq].dropped) << "job " << seq;
+  }
+}
+
+TEST(SchedIndexTest, SlackRanksShapeHeadsByFeasibilityFirst) {
+  // At t = 30: job 1 (shape 8) is doomed (50 < 60), job 2 (shape 8) and
+  // job 3 (shape 16) are feasible.  Shape 8's slack head is job 2, and the
+  // shape-16 head beats it on deadline.
+  const std::vector<serve::CellJob> jobs = {
+      hand_job(0, 8, 0.0, 1000.0), hand_job(1, 8, 1.0, 50.0),
+      hand_job(2, 8, 1.0, 300.0), hand_job(3, 16, 1.0, 200.0)};
+
+  const auto slack = run_jobs(one_job_waves(sched::QueuePolicy::kSlack), jobs);
+  EXPECT_EQ(slack[3].dispatch_us, 30.0);
+  EXPECT_EQ(slack[2].dispatch_us, 60.0);
+  EXPECT_EQ(slack[1].dispatch_us, 90.0);
+
+  const auto edf = run_jobs(one_job_waves(sched::QueuePolicy::kEdf), jobs);
+  EXPECT_EQ(edf[1].dispatch_us, 30.0);
+  EXPECT_EQ(edf[3].dispatch_us, 60.0);
+  EXPECT_EQ(edf[2].dispatch_us, 90.0);
+}
+
+TEST(SchedIndexTest, GrowthDrainFinalizesInSequenceOrder) {
+  // At 30 EDF dispatches job 4; the three shape-16 jobs stay queued, in
+  // reverse sequence order in the EDF index.  A defect growth at 40 kills
+  // shape 16 on the only device (and aborts job 4's wave): the queued jobs
+  // must fail, and reach the hook, in sequence order.
+  std::vector<serve::CellJob> jobs = {
+      hand_job(0, 8, 0.0, 1000.0), hand_job(1, 16, 1.0, 900.0),
+      hand_job(2, 16, 2.0, 800.0), hand_job(3, 16, 3.0, 700.0),
+      hand_job(4, 8, 4.0, 500.0)};
+  sched::SchedConfig cfg = one_job_waves(sched::QueuePolicy::kEdf);
+  auto plan = std::make_shared<fault::FaultPlan>();
+  plan->growths.push_back({0, 40.0, dead_row_map()});
+  cfg.fault = plan;
+
+  sched::Scheduler scheduler(cfg);
+  std::vector<std::size_t> hook_order;
+  scheduler.set_dispatch_hook([&](const serve::CellJob& job, double) {
+    hook_order.push_back(job.id);
+  });
+  for (serve::CellJob& job : jobs) scheduler.submit(std::move(job));
+  scheduler.finish();
+
+  EXPECT_EQ(hook_order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+  for (std::size_t seq = 1; seq <= 4; ++seq) {
+    EXPECT_TRUE(scheduler.records()[seq].failed) << "job " << seq;
+    EXPECT_EQ(scheduler.records()[seq].completion_us, 40.0) << "job " << seq;
+  }
+  EXPECT_EQ(scheduler.records()[4].dispatch_us, 30.0);
+}
+
+TEST(SchedIndexTest, RequeuedJobRegainsItsPolicyPosition) {
+  // Job 0's wave aborts at 10 (outage until 20) and is re-queued behind
+  // nothing: at 20 it must sit where the policy puts it among jobs 1 and 2.
+  const std::vector<serve::CellJob> jobs = {hand_job(0, 8, 0.0, 300.0),
+                                            hand_job(1, 8, 5.0, 400.0),
+                                            hand_job(2, 8, 6.0, 200.0)};
+  const auto config = [](sched::QueuePolicy policy) {
+    sched::SchedConfig cfg = one_job_waves(policy);
+    cfg.fault = outage_plan(0, 10.0, 20.0);
+    cfg.max_retries = 1;
+    return cfg;
+  };
+
+  const auto fifo = run_jobs(config(sched::QueuePolicy::kFifo), jobs);
+  EXPECT_EQ(fifo[0].retries, 1u);
+  EXPECT_EQ(fifo[0].dispatch_us, 20.0);
+  EXPECT_EQ(fifo[1].dispatch_us, 50.0);
+  EXPECT_EQ(fifo[2].dispatch_us, 80.0);
+
+  const auto edf = run_jobs(config(sched::QueuePolicy::kEdf), jobs);
+  EXPECT_EQ(edf[2].dispatch_us, 20.0);
+  EXPECT_EQ(edf[0].dispatch_us, 50.0);
+  EXPECT_EQ(edf[1].dispatch_us, 80.0);
 }
 
 TEST(DeviceSetTest, TopologyKeyedCachesSharedOnlyWhenIdentical) {

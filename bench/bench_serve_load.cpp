@@ -146,7 +146,7 @@ vpp::VppConfig downlink_family() {
 /// jobs (shape 16, `tight_users` stations).  Budgets scale with the wave
 /// service time so the scenario saturates identically at any QUAMAX_SCALE.
 /// Tight jobs get ids/users offset past the loose class so records stay
-/// attributable; OpenLoopFeed merges the classes by arrival time (loose
+/// attributable; DecodeService::run stable-sorts by arrival time (loose
 /// before tight on each tick, matching submission order).
 std::vector<serve::CellJob> mixed_workload(double period_us, double service_us,
                                              std::size_t loose_users,

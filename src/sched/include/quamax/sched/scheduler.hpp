@@ -54,7 +54,9 @@
 // serving").
 //
 // serve::DecodeService delegates its dispatch to this engine; SchedClient
-// (client.hpp) is the streaming front end.
+// (client.hpp) is the streaming front end.  Both are open-loop: arrival
+// times come from the workload, and outcomes leave only through records()
+// and collect() — nothing calls back into a driver at dispatch.
 #pragma once
 
 #include <cstddef>
@@ -173,11 +175,6 @@ struct SchedConfig {
 
 class Scheduler {
  public:
-  /// Called at each job's dispatch (or drop) with its wave completion (or
-  /// drop) time — the closed-loop feedback edge DecodeService's feeds use.
-  using DispatchHook =
-      std::function<void(const serve::CellJob&, double completion_us)>;
-
   /// `devices` may share a prebuilt DeviceSet (compiled placements persist
   /// across scheduler instances); nullptr builds one from the config.
   explicit Scheduler(SchedConfig config,
@@ -201,26 +198,20 @@ class Scheduler {
   /// num_anneals when 0).
   std::size_t warm_quota() const;
 
-  void set_dispatch_hook(DispatchHook hook) { hook_ = std::move(hook); }
-
   /// Stages one job — either direction, implicitly converted from a
   /// DecodeJob or PrecodeJob — and advances the virtual clock to its
   /// arrival (rounds strictly before it are dispatched first).  Jobs must
-  /// be submitted in non-decreasing arrival order — the scheduler cannot
-  /// dispatch into a past an unseen job should have joined.  Returns the
-  /// job's sequence number (the ticket index).  Throws CapacityError when
-  /// no device in the pool can embed the job's shape.
+  /// be submitted in non-decreasing, finite arrival order — the scheduler
+  /// cannot dispatch into a past an unseen job should have joined; a
+  /// violation throws InvalidArgument naming the job.  Returns the job's
+  /// sequence number (the ticket index).  Throws CapacityError when no
+  /// device in the pool can embed the job's shape.
   std::size_t submit(serve::CellJob job);
 
   /// Dispatches every round whose time lies strictly before `horizon_us`.
   /// submit() calls this implicitly; explicit calls let a driver flush the
-  /// timeline up to a known-quiet instant (e.g. the feed's next release).
+  /// timeline up to an instant no later than its next arrival.
   void advance_to(double horizon_us);
-
-  /// Unbounded-horizon variant for closed loops stalled on feedback: runs
-  /// rounds until at least one job dispatches or drops (firing the hook),
-  /// returning false when no work remains.
-  bool advance_until_dispatch();
 
   /// Runs every remaining round and executes every wave's decode; after
   /// this, records() is complete and final.
@@ -254,16 +245,6 @@ class Scheduler {
     kInFlight,
     kFailed,
     kFallback
-  };
-  /// kDeferred: the popped device sits inside an outage window; it was
-  /// re-queued at the window's end without advancing any other state.
-  enum class Round {
-    kNoWork,
-    kHorizon,
-    kParked,
-    kSwept,
-    kDispatched,
-    kDeferred
   };
   /// Virtual-clock fault timeline entries, processed in (time, insertion)
   /// order by the first round whose effective time reaches them.  Outage
@@ -301,12 +282,16 @@ class Scheduler {
     std::set<Key> deadlines;
   };
 
-  Round round(double horizon_us);
+  /// One dispatch attempt for the earliest-free device.  Returns false
+  /// when the timeline is done up to `horizon_us` (no work, or the next
+  /// decision lies at or past the horizon); true when another round may
+  /// make progress.
+  bool round(double horizon_us);
   void admit_up_to(double t_us);
   void sweep_doomed(double t_free_us);
   /// Pops and applies every fault event with time <= t_us.  Returns true
-  /// when a job was FINALIZED (fallback or terminal failure) — progress a
-  /// closed-loop driver must observe.
+  /// when a job was FINALIZED (fallback or terminal failure) — the round
+  /// then re-queues its device at the instant it processed them.
   bool process_faults(double t_us);
   /// End of the outage (union of overlapping windows) covering `t_us` on
   /// `device`; returns t_us when the device is up.
@@ -385,7 +370,6 @@ class Scheduler {
   /// (recorded from decode lanes, read when a dependent warm wave runs).
   anneal::WarmStartPlanner planner_;
   std::unordered_map<std::size_t, std::size_t> id_to_seq_;  ///< job id -> seq
-  DispatchHook hook_;
 
   /// By sequence number.  A deque grows without relocating its elements;
   /// a vector's doubling would move every staged job, a submit-latency

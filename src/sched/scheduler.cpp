@@ -151,6 +151,10 @@ double Scheduler::warm_wave_service_us() const {
 }
 
 std::size_t Scheduler::submit(serve::CellJob job) {
+  // An infinite arrival would stage a job no round ever admits.
+  require(std::isfinite(job.arrival_us),
+          "Scheduler::submit: job " + std::to_string(job.id) +
+              " has a non-finite arrival time");
   require(job.arrival_us >= last_arrival_us_,
           "Scheduler::submit: jobs must arrive in non-decreasing order");
   // Deadlines key the edf/slack order; NaN has no place in an order.
@@ -201,17 +205,7 @@ std::size_t Scheduler::submit(serve::CellJob job) {
 }
 
 void Scheduler::advance_to(double horizon_us) {
-  while (true) {
-    const Round result = round(horizon_us);
-    if (result == Round::kNoWork || result == Round::kHorizon) return;
-  }
-}
-
-bool Scheduler::advance_until_dispatch() {
-  while (true) {
-    const Round result = round(kInfinity);
-    if (result == Round::kDispatched || result == Round::kSwept) return true;
-    if (result == Round::kNoWork) return false;
+  while (round(horizon_us)) {
   }
 }
 
@@ -227,17 +221,16 @@ void Scheduler::finish() {
 // round's effective time never reaches `horizon_us`: every arrival a round
 // could admit has already been submitted, which is what makes the async
 // timeline identical to a batch run of the same workload.
-Scheduler::Round Scheduler::round(double horizon_us) {
-  if (free_devices_.empty()) return Round::kNoWork;
+bool Scheduler::round(double horizon_us) {
+  if (free_devices_.empty()) return false;
   const auto [freed_us, device] = free_devices_.top();
   free_devices_.pop();
   double t_free = freed_us;
-  bool finalized = false;  // process_faults ended a job (hook fired)
+  bool finalized = false;  // process_faults ended a job
 
   while (true) {
-    // An idle device jumps to the next submitted arrival (the batch loop
-    // jumped to the feed's next release) or the next fault event —
-    // whichever comes first, so fault processing stays globally
+    // An idle device jumps to the next submitted arrival or the next fault
+    // event — whichever comes first, so fault processing stays globally
     // time-ordered against every dispatch decision.
     if (pending_.empty()) {
       double next = kInfinity;
@@ -247,7 +240,7 @@ Scheduler::Round Scheduler::round(double horizon_us) {
         next = fault_events_.top().t_us;
       if (next == kInfinity) {
         free_devices_.emplace(finalized ? t_free : freed_us, device);
-        return finalized ? Round::kSwept : Round::kNoWork;
+        return finalized;
       }
       t_free = std::max(t_free, next);
     }
@@ -255,13 +248,12 @@ Scheduler::Round Scheduler::round(double horizon_us) {
       // Re-queue at the ORIGINAL free time, not the jumped one: a round
       // that does nothing must leave no trace, or device tie-breaking
       // would depend on how many advance_to() calls a driver happens to
-      // make (the batch loop advances once per release on top of
-      // submit()'s internal advance, the streaming client only via
-      // submit()) — and the async == batch contract would break the
-      // moment two devices go free at the same instant
-      // (tests/sched_property_test.cpp caught exactly this).
+      // make (a driver may flush before each submit or never) — and the
+      // async == batch contract would break the moment two devices go free
+      // at the same instant (tests/sched_property_test.cpp caught exactly
+      // this).
       free_devices_.emplace(freed_us, device);
-      return Round::kHorizon;
+      return false;
     }
 
     // Apply the fault timeline up to this instant: defect growth, outage
@@ -275,7 +267,7 @@ Scheduler::Round Scheduler::round(double horizon_us) {
     const double up_us = outage_until(device, t_free);
     if (up_us > t_free) {
       free_devices_.emplace(up_us, device);
-      return finalized ? Round::kSwept : Round::kDeferred;
+      return true;
     }
 
     // Admit everything released by t_free, then shed doomed jobs (the doom
@@ -289,7 +281,7 @@ Scheduler::Round Scheduler::round(double horizon_us) {
         // The sweep emptied the queue: requeue the device and let the next
         // round (any device) jump forward, exactly like the batch loop.
         free_devices_.emplace(t_free, device);
-        return Round::kSwept;
+        return true;
       }
     }
     if (pending_.empty()) continue;  // nothing admitted yet; jump again
@@ -311,11 +303,11 @@ Scheduler::Round Scheduler::round(double horizon_us) {
       // Every pending job needs some other device; park until the next
       // admission re-arms us.
       parked_.emplace_back(t_free, device);
-      return Round::kParked;
+      return true;
     }
 
     dispatch_wave(device, t_free, seed_seq);
-    return Round::kDispatched;
+    return true;
   }
 }
 
@@ -387,7 +379,6 @@ void Scheduler::sweep_doomed(double t_free_us) {
       event.deadline_us = jobs_[seq].deadline_us;
       config_.trace->on_job_drop(event);
     }
-    if (hook_) hook_(jobs_[seq], start_us);
   }
 }
 
@@ -573,7 +564,6 @@ void Scheduler::finalize_fallback(std::size_t seq, double dispatch_us,
     event.mid_flight = mid_flight;
     config_.trace->on_job_fallback(event);
   }
-  if (hook_) hook_(jobs_[seq], t_us);
 }
 
 void Scheduler::finalize_failed(std::size_t seq, double dispatch_us,
@@ -595,7 +585,6 @@ void Scheduler::finalize_failed(std::size_t seq, double dispatch_us,
     event.mid_flight = mid_flight;
     config_.trace->on_job_drop(event);
   }
-  if (hook_) hook_(jobs_[seq], t_us);
 }
 
 bool Scheduler::warm_eligible(std::size_t seq, double t_free_us) const {
@@ -785,9 +774,9 @@ void Scheduler::dispatch_wave(std::size_t device, double t_free_us,
   if (wave.failed) {
     // A failed wave yields no samples: members go in-flight until the
     // kWaveFail event at the abort instant runs their retry/fallback
-    // ladder.  No completion record, no delivery, no dispatch trace, no
-    // hook — on the virtual clock nothing has been promised yet.  The
-    // device is occupied only until the abort.
+    // ladder.  No completion record, no delivery, no dispatch trace — on
+    // the virtual clock nothing has been promised yet.  The device is
+    // occupied only until the abort.
     for (const std::size_t seq : wave.jobs) {
       records_[seq].wave_id = wave.id;
       states_[seq] = JobState::kInFlight;
@@ -819,7 +808,6 @@ void Scheduler::dispatch_wave(std::size_t device, double t_free_us,
                            : jobs_[seq].uplink().use.tx_bits.size();
       config_.trace->on_job_dispatch(event);
     }
-    if (hook_) hook_(jobs_[seq], wave.completion_us);
   }
 
   // The device idles from t_free to the (possibly later) dispatch.

@@ -5,8 +5,8 @@
 // reproducible.  LoadGenerator therefore derives EVERY stochastic choice —
 // inter-arrival gaps, channel realizations, payload bits — from
 // counter-derived Rng streams keyed by the job index, so a (config, seed)
-// pair pins the entire workload bit-for-bit regardless of who consumes it,
-// in what order, or at what thread count.
+// pair pins the entire workload bit-for-bit regardless of who consumes it
+// or at what thread count.
 //
 // Two arrival processes:
 //   * kPoisson  — open-loop Poisson arrivals at offered_load_jobs_per_ms
@@ -20,7 +20,7 @@
 //     optional AWGN) — job k's instance is drawn from stream k; or
 //   * the synthetic Argos-like wireless::TraceChannelModel (§5.5): the
 //     fading process advances one frame per job, so instances are produced
-//     sequentially and cached by job index to keep job(k) a pure lookup.
+//     strictly in id order and nothing is kept once a job is handed out.
 //
 // Full-duplex mixes: downlink_fraction > 0 turns job k into a downlink VPP
 // precoding job (vpp::PrecodeInstance from `downlink`) with probability
@@ -36,7 +36,8 @@
 // framing: each subframe retransmits the block payload) and only the AWGN
 // realization is fresh per job; at block boundaries the channel takes a
 // Gauss-Markov step H <- rho H + sqrt(1-rho^2) W (Rayleigh innovation W)
-// and the payload is redrawn.  Same-block successors carry
+// and the payload is redrawn.  Like the trace, the chains are produced
+// strictly in id order and keep no instance.  Same-block successors carry
 // CellJob::predecessor so the scheduler can warm-start them, and their
 // reductions reuse the block's couplings through anneal::WarmStartPlanner
 // (only the received-vector-dependent fields are recomputed — bit-equal
@@ -46,7 +47,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -70,7 +70,6 @@ struct LoadConfig {
   double subframe_period_us = 1000.0;     ///< tick spacing (kSubframe)
   std::size_t users = 8;     ///< distinct uplink streams (round-robin owners)
   double deadline_us = 1000.0;   ///< per-job budget: deadline = arrival + this
-  double think_time_us = 0.0;    ///< closed loop: completion -> next release gap
 
   /// Instance source: trace_channels selects the Argos-like trace campaign,
   /// otherwise `problem` describes the random instance family.
@@ -117,14 +116,14 @@ class LoadGenerator {
   /// the direction's budget.  Pure in (config, seed, num_jobs).
   std::vector<CellJob> open_loop(std::size_t num_jobs);
 
-  /// Job `id` for `user`, released at `release_us` — the closed-loop entry
-  /// point DecodeService::run_closed_loop drives.  Instances are keyed by
-  /// `id` alone, so the job content is independent of the release time the
-  /// service's feedback loop produces.  Trace-mode instances are produced
-  /// sequentially (the fading process has state) and retained in a sliding
-  /// window of the most recent kTraceWindow ids, keeping memory bounded on
-  /// arbitrarily long serving runs; requesting an id that slid out of the
-  /// window throws InvalidArgument.
+  /// Job `id` for `user`, released at `release_us`.  The content is keyed
+  /// by `id` alone, never by the release time.  The random family gives
+  /// random access by id.  Trace and coherent instances come from stateful
+  /// processes that advance strictly in id order and keep nothing: job(id)
+  /// draws and discards every instance below `id` that was not yet drawn
+  /// (downlink ids included), so any increasing id sequence yields the
+  /// jobs open_loop would.  Requesting an id the process has already
+  /// passed throws InvalidArgument.
   CellJob job(std::size_t id, std::size_t user, double release_us);
 
   /// Whether job `id` is a downlink job under the configured mix (a pure
@@ -146,12 +145,13 @@ class LoadGenerator {
     return planner_.stats();
   }
 
-  /// Trace-mode retention window (see job()).  Far larger than any queue a
-  /// service run sustains — the service consumes ids almost in order.
-  static constexpr std::size_t kTraceWindow = 4096;
-
  private:
+  /// Trace and coherent instances depend on every earlier id's draws.
+  bool sequential() const noexcept {
+    return trace_model_ != nullptr || config_.coherence > 0.0;
+  }
   sim::Instance instance_for(std::size_t id);
+  sim::Instance make_sequential_instance(std::size_t id);
   sim::Instance make_coherent_instance(std::size_t id);
 
   LoadConfig config_;
@@ -161,8 +161,8 @@ class LoadGenerator {
   std::uint64_t downlink_key_ = 0;
   std::unique_ptr<wireless::TraceChannelModel> trace_model_;
   Rng trace_rng_;
-  std::deque<sim::Instance> trace_window_;  ///< ids [trace_base_, trace_base_ + size)
-  std::size_t trace_base_ = 0;
+  /// Sequential modes: the first id whose instance is not yet drawn.
+  std::size_t next_instance_ = 0;
 
   /// One Gauss-Markov channel chain per user (coherence > 0).  Blocks are
   /// materialized strictly in order, so H_u(block) is a pure function of
@@ -180,8 +180,6 @@ class LoadGenerator {
   std::uint64_t coherent_use_key_ = 0;      ///< per-id noise draws
   std::vector<ChainState> chains_;
   anneal::WarmStartPlanner planner_;  ///< compile side only (no seeds here)
-  std::deque<sim::Instance> coherent_window_;  ///< ids [coherent_base_, ...)
-  std::size_t coherent_base_ = 0;
 };
 
 }  // namespace quamax::serve

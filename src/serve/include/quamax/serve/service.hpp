@@ -31,12 +31,14 @@
 //     (tests/serve_test.cpp enforces this).
 //
 // Since PR 5 the dispatch engine itself lives in quamax::sched: the service
-// builds a sched::Scheduler per run and feeds it arrivals, which is where
-// multi-chip sharding (per-device defect maps + device-affine embedding
-// caches, ServiceConfig::device_specs), pluggable queue policies
-// (ServiceConfig::queue_policy), and the async submit/poll API
-// (sched::SchedClient) come from.  DecodeService remains the batch
-// (run-to-completion) front end over that engine.
+// builds a sched::Scheduler per run and submits the arrivals to it in
+// arrival order, which is where multi-chip sharding (per-device defect
+// maps + device-affine embedding caches, ServiceConfig::device_specs),
+// pluggable queue policies (ServiceConfig::queue_policy), and the async
+// submit/poll API (sched::SchedClient) come from.  DecodeService remains
+// the batch (run-to-completion) front end over that engine.  Traffic is
+// open-loop, as the radio's subframe clock delivers it: arrival times are
+// fixed by the workload and never feed back from service latency.
 #pragma once
 
 #include <cstddef>
@@ -45,13 +47,11 @@
 #include <vector>
 
 #include "quamax/anneal/annealer.hpp"
-#include "quamax/chimera/embedding_cache.hpp"
 #include "quamax/fault/plan.hpp"
 #include "quamax/sched/device_set.hpp"
 #include "quamax/sched/policy.hpp"
 #include "quamax/sched/scheduler.hpp"
 #include "quamax/serve/job.hpp"
-#include "quamax/serve/load_gen.hpp"
 #include "quamax/serve/stats.hpp"
 
 namespace quamax::serve {
@@ -153,12 +153,6 @@ class DecodeService {
     return devices_;
   }
 
-  /// Device 0's shape-keyed embedding cache (the PR-3 accessor; with
-  /// uniform devices every device shares this object).
-  const std::shared_ptr<chimera::EmbeddingCache>& embedding_cache() const noexcept {
-    return devices_->cache(0);
-  }
-
   /// Jobs one wave may carry for `shape` under the active packing config,
   /// on the best-capacity device of the pool.
   std::size_t wave_capacity(std::size_t shape);
@@ -167,26 +161,15 @@ class DecodeService {
   /// num_anneals * (T_a + T_p).  Occupancy-independence is the packing win.
   double wave_service_us() const;
 
-  /// Open-loop run: serves `jobs` (any order; the service sorts by arrival)
-  /// to completion and returns the full report.  Jobs may mix directions —
-  /// LoadGenerator::open_loop with downlink_fraction > 0 produces the
-  /// full-duplex workload.
+  /// Open-loop run: serves `jobs` (any order; the service stable-sorts by
+  /// arrival) to completion and returns the full report.  Jobs may mix
+  /// directions — LoadGenerator::open_loop with downlink_fraction > 0
+  /// produces the full-duplex workload.  Throws InvalidArgument naming the
+  /// job when an arrival is not finite.
   ServiceReport run(std::vector<CellJob> jobs);
 
-  /// Closed-loop run: a fixed population of generator.config().users
-  /// streams, each releasing its next job think_time_us after its previous
-  /// job's wave completes, until `num_jobs` jobs have been issued.  Arrival
-  /// times therefore FEED BACK from service latency — the closed-loop load
-  /// the bench's saturation sweeps rely on.
-  ServiceReport run_closed_loop(LoadGenerator& generator, std::size_t num_jobs);
-
  private:
-  class ArrivalFeed;
-  class OpenLoopFeed;
-  class ClosedLoopFeed;
-
   sched::SchedConfig sched_config() const;
-  ServiceReport serve(ArrivalFeed& feed);
 
   ServiceConfig config_;
   std::shared_ptr<sched::DeviceSet> devices_;

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include "quamax/common/error.hpp"
 
@@ -134,45 +135,27 @@ sim::Instance LoadGenerator::make_coherent_instance(std::size_t id) {
                                          config_.ml_oracle);
 }
 
+sim::Instance LoadGenerator::make_sequential_instance(std::size_t id) {
+  if (config_.coherence > 0.0) return make_coherent_instance(id);
+  trace_model_->advance_frame();
+  return sim::make_instance_from_use(
+      trace_model_->sample_use(config_.trace_pick, config_.trace_mod,
+                               trace_rng_),
+      config_.ml_oracle);
+}
+
 sim::Instance LoadGenerator::instance_for(std::size_t id) {
-  if (config_.coherence > 0.0) {
-    // Coherent instances are produced sequentially (the channel chains have
-    // state) and retained in the same sliding window the trace mode uses.
-    require(id >= coherent_base_,
-            "LoadGenerator: coherent instance " + std::to_string(id) +
-                " slid out of the retention window");
-    while (coherent_base_ + coherent_window_.size() <= id) {
-      coherent_window_.push_back(
-          make_coherent_instance(coherent_base_ + coherent_window_.size()));
-      if (coherent_window_.size() > kTraceWindow) {
-        coherent_window_.pop_front();
-        ++coherent_base_;
-      }
-    }
-    return coherent_window_[id - coherent_base_];
-  }
-  if (trace_model_ == nullptr) {
+  if (!sequential()) {
     Rng stream = Rng::for_stream(instance_key_, id);
     return sim::make_instance(config_.problem, stream, config_.ml_oracle);
   }
-  // The trace's Gauss-Markov fading is sequential: materialize frames up to
-  // `id` once, retaining only a sliding window of recent instances so a
-  // long serving run does not accumulate every channel use ever drawn.
-  require(id >= trace_base_,
-          "LoadGenerator: trace instance " + std::to_string(id) +
-              " slid out of the retention window");
-  while (trace_base_ + trace_window_.size() <= id) {
-    trace_model_->advance_frame();
-    trace_window_.push_back(sim::make_instance_from_use(
-        trace_model_->sample_use(config_.trace_pick, config_.trace_mod,
-                                 trace_rng_),
-        config_.ml_oracle));
-    if (trace_window_.size() > kTraceWindow) {
-      trace_window_.pop_front();
-      ++trace_base_;
-    }
-  }
-  return trace_window_[id - trace_base_];
+  // The trace fading process and the coherent chains have state: draw the
+  // skipped ids too (downlink jobs never ask for theirs), so instance `id`
+  // and the planner's compile counters are the same however ids are
+  // requested.  job() has rejected ids below next_instance_.
+  while (next_instance_ < id) make_sequential_instance(next_instance_++);
+  ++next_instance_;
+  return make_sequential_instance(id);
 }
 
 std::vector<CellJob> LoadGenerator::open_loop(std::size_t num_jobs) {
@@ -197,6 +180,11 @@ std::vector<CellJob> LoadGenerator::open_loop(std::size_t num_jobs) {
 }
 
 CellJob LoadGenerator::job(std::size_t id, std::size_t user, double release_us) {
+  if (sequential())
+    require(id >= next_instance_,
+            "LoadGenerator::job: id " + std::to_string(id) +
+                " was already passed; trace and coherent instances are "
+                "drawn in increasing id order");
   if (config_.coherence > 0.0)
     require(user == id % config_.users,
             "LoadGenerator: coherent chains key users by id; pass "

@@ -9,7 +9,8 @@
 //   * EDF dispatches by (deadline, submission seq); slack defers doomed
 //     jobs behind feasible ones; FIFO preserves the PR-3 arrival order;
 //   * shape-aware routing: a wave only lands on a device whose defect map
-//     can embed its shape, and unroutable shapes are rejected at submit;
+//     can embed its shape, and unroutable shapes are rejected at submit,
+//     as are non-finite or decreasing arrivals;
 //   * DeviceSet keys embedding caches by topology: identical devices share
 //     one cache, defect-distinct devices get their own;
 //   * the per-shape pending index keeps the exact doom split (to the ulp,
@@ -24,10 +25,12 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "quamax/fault/plan.hpp"
+#include "quamax/obs/trace.hpp"
 #include "quamax/sched/client.hpp"
 #include "quamax/sched/device_set.hpp"
 #include "quamax/sched/policy.hpp"
@@ -284,6 +287,25 @@ TEST(SchedTest, SubmitRequiresMonotoneArrivals) {
   EXPECT_THROW(client.submit(gen.job(1, 1, 50.0)), InvalidArgument);
 }
 
+TEST(SchedTest, SubmitRejectsNonFiniteArrivalNamingTheJob) {
+  serve::LoadGenerator gen(bpsk8_load(10.0), 0xA5A);
+  for (const double arrival : {std::numeric_limits<double>::infinity(),
+                               std::numeric_limits<double>::quiet_NaN()}) {
+    sched::Scheduler scheduler(fast_sched());
+    scheduler.submit(gen.job(0, 0, 100.0));
+    try {
+      scheduler.submit(gen.job(17, 1, arrival));
+      ADD_FAILURE() << "arrival " << arrival << " was accepted";
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find("job 17"), std::string::npos)
+          << e.what();
+    }
+    // The rejected job left no trace: the run still finishes cleanly.
+    scheduler.finish();
+    EXPECT_EQ(scheduler.num_submitted(), 1u);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Pending-index edge cases: the per-shape policy index must reproduce the
 // policy order and the exact doom split at every boundary.
@@ -299,6 +321,18 @@ serve::CellJob hand_job(std::size_t id, std::size_t shape, double arrival_us,
   EXPECT_EQ(job.shape(), shape);
   job.deadline_us = deadline_us;
   return job;
+}
+
+/// Job ids in trace emission order — the engine's finalization order.
+std::vector<std::size_t> dispatch_ids(const obs::TraceLog& log) {
+  std::vector<std::size_t> ids;
+  for (const obs::JobDispatchEvent& e : log.dispatches()) ids.push_back(e.job_id);
+  return ids;
+}
+std::vector<std::size_t> drop_ids(const obs::TraceLog& log) {
+  std::vector<std::size_t> ids;
+  for (const obs::JobDropEvent& e : log.drops()) ids.push_back(e.job_id);
+  return ids;
 }
 
 /// One job per wave, 30 us per wave (fast_sched: 10 us overhead + 20 x 1 us).
@@ -431,7 +465,8 @@ TEST(SchedIndexTest, SlackMergesDoomedJobsByDeadline) {
 TEST(SchedIndexTest, DoomSweepShedsInSequenceOrder) {
   // At t = 30 jobs 1-3 are doomed by t, with deadlines falling in sequence
   // order, and job 4 was born doomed (20 < 4 + 30).  The sweep must drop
-  // them, and reach the hook, in sequence order under both index layouts.
+  // them, and emit their drop events, in sequence order under both index
+  // layouts.
   for (const sched::QueuePolicy policy :
        {sched::QueuePolicy::kFifo, sched::QueuePolicy::kEdf}) {
     std::vector<serve::CellJob> jobs = {
@@ -440,15 +475,16 @@ TEST(SchedIndexTest, DoomSweepShedsInSequenceOrder) {
         hand_job(4, 8, 4.0, 20.0)};
     sched::SchedConfig cfg = one_job_waves(policy);
     cfg.drop_late = true;
+    obs::TraceLog log;
+    cfg.trace = &log;
     sched::Scheduler scheduler(cfg);
-    std::vector<std::size_t> hook_order;
-    scheduler.set_dispatch_hook([&](const serve::CellJob& job, double) {
-      hook_order.push_back(job.id);
-    });
     for (serve::CellJob& job : jobs) scheduler.submit(std::move(job));
     scheduler.finish();
-    EXPECT_EQ(hook_order, (std::vector<std::size_t>{0, 1, 2, 3, 4}))
+    EXPECT_EQ(dispatch_ids(log), (std::vector<std::size_t>{0}))
         << sched::to_string(policy);
+    EXPECT_EQ(drop_ids(log), (std::vector<std::size_t>{1, 2, 3, 4}))
+        << sched::to_string(policy);
+    EXPECT_LT(log.dispatches()[0].dispatch_us, log.drops()[0].drop_us);
     for (std::size_t seq = 1; seq <= 4; ++seq)
       EXPECT_TRUE(scheduler.records()[seq].dropped) << "job " << seq;
   }
@@ -477,7 +513,8 @@ TEST(SchedIndexTest, GrowthDrainFinalizesInSequenceOrder) {
   // At 30 EDF dispatches job 4; the three shape-16 jobs stay queued, in
   // reverse sequence order in the EDF index.  A defect growth at 40 kills
   // shape 16 on the only device (and aborts job 4's wave): the queued jobs
-  // must fail, and reach the hook, in sequence order.
+  // must fail, and emit their drop events, in sequence order, ahead of the
+  // aborted job 4.
   std::vector<serve::CellJob> jobs = {
       hand_job(0, 8, 0.0, 1000.0), hand_job(1, 16, 1.0, 900.0),
       hand_job(2, 16, 2.0, 800.0), hand_job(3, 16, 3.0, 700.0),
@@ -486,16 +523,18 @@ TEST(SchedIndexTest, GrowthDrainFinalizesInSequenceOrder) {
   auto plan = std::make_shared<fault::FaultPlan>();
   plan->growths.push_back({0, 40.0, dead_row_map()});
   cfg.fault = plan;
+  obs::TraceLog log;
+  cfg.trace = &log;
 
   sched::Scheduler scheduler(cfg);
-  std::vector<std::size_t> hook_order;
-  scheduler.set_dispatch_hook([&](const serve::CellJob& job, double) {
-    hook_order.push_back(job.id);
-  });
   for (serve::CellJob& job : jobs) scheduler.submit(std::move(job));
   scheduler.finish();
 
-  EXPECT_EQ(hook_order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+  // Job 4's aborted wave emits no dispatch event; it fails mid-flight.
+  EXPECT_EQ(dispatch_ids(log), (std::vector<std::size_t>{0}));
+  EXPECT_EQ(drop_ids(log), (std::vector<std::size_t>{1, 2, 3, 4}));
+  EXPECT_LT(log.dispatches()[0].dispatch_us, log.drops()[0].drop_us);
+  EXPECT_TRUE(log.drops().back().mid_flight);
   for (std::size_t seq = 1; seq <= 4; ++seq) {
     EXPECT_TRUE(scheduler.records()[seq].failed) << "job " << seq;
     EXPECT_EQ(scheduler.records()[seq].completion_us, 40.0) << "job " << seq;

@@ -11,15 +11,20 @@
 //     streams);
 //   * wave packing lifts achieved throughput by >= 2x at saturating load;
 //   * deadline accounting: zero misses at trivial load, drops under
-//     drop_late admission, closed-loop arrivals feed back from completions.
+//     drop_late admission;
+//   * open-loop input validation: a non-finite arrival is a located error;
+//   * the load generator's trace and coherent sources keep no instance yet
+//     serve any increasing id sequence exactly as open_loop does.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "quamax/serve/load_gen.hpp"
@@ -292,33 +297,23 @@ TEST(ServeTest, DropLateSweepsHeterogeneousDeadlines) {
         << "job " << rec.job_id;
 }
 
-TEST(ServeTest, ClosedLoopArrivalsFeedBackFromCompletions) {
-  auto load = bpsk8_load(1.0);
-  load.users = 4;
-  load.think_time_us = 50.0;
-  serve::LoadGenerator gen(load, 0xC105ED);
-  serve::DecodeService service(fast_service(true));
-  const serve::ServiceReport report = service.run_closed_loop(gen, 32);
-
-  ASSERT_EQ(report.jobs.size(), 32u);
-  std::map<std::size_t, std::vector<const serve::JobRecord*>> by_user;
-  for (const serve::JobRecord& rec : report.jobs)
-    by_user[rec.user].push_back(&rec);
-  EXPECT_EQ(by_user.size(), 4u);
-  for (const auto& [user, recs] : by_user) {
-    for (std::size_t k = 1; k < recs.size(); ++k) {
-      // Next release = previous wave completion + think time.
-      EXPECT_DOUBLE_EQ(recs[k]->arrival_us,
-                       recs[k - 1]->completion_us + 50.0)
-          << "user " << user << " job " << k;
+TEST(ServeTest, RunRejectsNonFiniteArrivalsNamingTheJob) {
+  // Checked before the arrival sort: a NaN would hand stable_sort a
+  // comparator that is no strict weak order, and an infinite arrival would
+  // be served after everything else.
+  serve::LoadGenerator gen(bpsk8_load(10.0), 0x1F1);
+  for (const double bad : {std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    std::vector<serve::CellJob> jobs = gen.open_loop(6);
+    jobs[4].arrival_us = bad;
+    try {
+      serve::DecodeService(fast_service(true)).run(std::move(jobs));
+      ADD_FAILURE() << "arrival " << bad << " was accepted";
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find("DecodeService::run: job 4"), std::string::npos)
+          << e.what();
     }
   }
-
-  // Closed-loop runs obey the same determinism contract.
-  serve::LoadGenerator gen2(load, 0xC105ED);
-  const serve::ServiceReport threaded =
-      serve::DecodeService(fast_service(true, 4)).run_closed_loop(gen2, 32);
-  EXPECT_EQ(report.stats.digest(), threaded.stats.digest());
 }
 
 TEST(LoadGeneratorTest, DeterministicAndWellFormed) {
@@ -486,9 +481,89 @@ TEST(LoadGeneratorTest, TraceChannelsProduceServableJobs) {
     EXPECT_GE(job.uplink().use.snr_db, 25.0);
     EXPECT_LE(job.uplink().use.snr_db, 35.0);
   }
-  // Trace instances are cached by id: re-requesting an id is a pure lookup.
-  const serve::CellJob again = gen.job(3, 3 % cfg.users, 123.0);
-  EXPECT_EQ(again.uplink().use.tx_bits, jobs[3].uplink().use.tx_bits);
+}
+
+/// Instance-level equality: channel use, reduction and truth, bit for bit.
+void expect_same_instance(const sim::Instance& a, const sim::Instance& b,
+                          std::size_t id) {
+  EXPECT_EQ(a.use.h.data(), b.use.h.data()) << "job " << id;
+  EXPECT_EQ(a.use.y, b.use.y) << "job " << id;
+  EXPECT_EQ(a.use.tx_bits, b.use.tx_bits) << "job " << id;
+  EXPECT_EQ(a.use.noise_sigma, b.use.noise_sigma) << "job " << id;
+  EXPECT_EQ(a.problem.ising.fields(), b.problem.ising.fields()) << "job " << id;
+  ASSERT_EQ(a.problem.ising.couplings().size(),
+            b.problem.ising.couplings().size()) << "job " << id;
+  for (std::size_t c = 0; c < a.problem.ising.couplings().size(); ++c) {
+    const qubo::Coupling& ca = a.problem.ising.couplings()[c];
+    const qubo::Coupling& cb = b.problem.ising.couplings()[c];
+    EXPECT_TRUE(ca.i == cb.i && ca.j == cb.j && ca.g == cb.g)
+        << "job " << id << " coupling " << c;
+  }
+  EXPECT_EQ(a.problem.ising.offset(), b.problem.ising.offset()) << "job " << id;
+  EXPECT_EQ(a.tx_spins, b.tx_spins) << "job " << id;
+  EXPECT_EQ(a.ground_energy, b.ground_energy) << "job " << id;
+}
+
+TEST(LoadGeneratorTest, SequentialSourcesServeIncreasingIdsWithoutRetention) {
+  // Trace and coherent generators keep no instance: job(k) on a fresh
+  // generator, with ids increasing and skipping (uplink and downlink ids
+  // alike), must reproduce open_loop(n) — instances, predecessors and the
+  // reduction compiler's counters — and a passed id must be refused.
+  auto coherent = coherent_bpsk_load(0.8);
+  coherent.downlink_fraction = 0.3;
+  coherent.downlink = fullduplex_load(1.0).downlink;
+  auto trace = bpsk8_load(5.0);
+  trace.trace_channels = true;
+  trace.trace_pick = 8;
+  constexpr std::size_t kJobs = 40;
+
+  for (const serve::LoadConfig& cfg : {coherent, trace}) {
+    const char* mode = cfg.trace_channels ? "trace" : "coherent";
+    serve::LoadGenerator reference(cfg, 0x5E0);
+    const std::vector<serve::CellJob> jobs = reference.open_loop(kJobs);
+    std::size_t last_uplink = 0;
+    for (const serve::CellJob& job : jobs)
+      if (!job.downlink()) last_uplink = job.id;
+
+    serve::LoadGenerator gen(cfg, 0x5E0);
+    std::size_t requested = 0;
+    std::size_t downlinks = 0;
+    for (std::size_t k = 0; k < kJobs; ++k) {
+      if (k % 4 == 1 && k != last_uplink) continue;  // skip every fourth id
+      const serve::CellJob job = gen.job(k, k % cfg.users, jobs[k].arrival_us);
+      ++requested;
+      ASSERT_EQ(job.downlink(), jobs[k].downlink()) << mode << " job " << k;
+      EXPECT_EQ(job.predecessor, jobs[k].predecessor) << mode << " job " << k;
+      EXPECT_EQ(job.deadline_us, jobs[k].deadline_us) << mode << " job " << k;
+      if (job.downlink()) {
+        ++downlinks;
+        EXPECT_EQ(job.precode().tx_bits, jobs[k].precode().tx_bits)
+            << mode << " job " << k;
+      } else {
+        expect_same_instance(job.uplink(), jobs[k].uplink(), k);
+      }
+    }
+    EXPECT_GT(requested, kJobs / 2) << mode;
+    if (cfg.downlink_fraction > 0.0) {
+      EXPECT_GT(downlinks, 0u) << mode;
+      EXPECT_GT(reference.compile_stats().delta_compiles, 0u) << mode;
+    }
+    EXPECT_EQ(gen.compile_stats().full_compiles,
+              reference.compile_stats().full_compiles) << mode;
+    EXPECT_EQ(gen.compile_stats().delta_compiles,
+              reference.compile_stats().delta_compiles) << mode;
+
+    // Nothing was retained: an already-passed id is refused, located.
+    try {
+      gen.job(last_uplink, last_uplink % cfg.users, 0.0);
+      ADD_FAILURE() << mode << ": passed id " << last_uplink << " was served";
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "id " + std::to_string(last_uplink)),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace

@@ -388,7 +388,7 @@ class Scheduler {
   std::vector<Device> parked_;  ///< devices with nothing routable; re-armed on admission
 
   std::vector<serve::Wave> waves_;
-  std::vector<char> wave_executed_;  ///< decode ran (execute_due levels)
+  std::vector<char> wave_executed_;  ///< decode ran (set per execute_due depth)
   /// Due-heaps so a long-lived streaming client's collect() only touches
   /// newly-due items, never rescanning the whole history.
   using Due = std::pair<double, std::size_t>;  ///< (completion time, id)

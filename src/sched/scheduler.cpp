@@ -843,40 +843,54 @@ void Scheduler::execute_due(double t_us) {
   }
   if (due.empty()) return;
   // Warm waves read their predecessors' decoded configurations, so the due
-  // list — already popped in (completion, id) order — runs in dependency
-  // LEVELS: each level extends until a warm wave whose predecessor wave has
-  // not executed yet.  A predecessor always completes strictly before its
-  // dependent (pred completion <= dependent dispatch < dependent
-  // completion), so it sits strictly earlier in this order — either in a
-  // previous execute_due call or in an earlier level — and the partition
-  // depends only on the virtual-clock wave log, never on poll cadence.  A
-  // cold-only backlog collapses to one level: the historical single
-  // parallel_for_lanes call, bit-identical.
-  std::size_t start = 0;
-  while (start < due.size()) {
-    std::size_t end = start;
-    while (end < due.size()) {
-      const serve::Wave& wave = waves_[due[end]];
-      bool ready = true;
-      if (wave.warm)
-        for (const std::size_t pred : wave.seeds)
-          if (!wave_executed_[records_[pred].wave_id]) {
-            ready = false;
-            break;
-          }
-      if (!ready) break;
-      ++end;
+  // list runs by dependency DEPTH: a wave whose predecessor waves have all
+  // executed has depth 0, any other 1 + the deepest of its predecessors.  A
+  // predecessor completes strictly before its dependent (pred completion <=
+  // dependent dispatch < dependent completion), so an unexecuted one sits
+  // strictly earlier in this (completion, id) pop order and is found by
+  // binary search.  Each depth is one parallel_for_lanes barrier over its
+  // waves in pop order; the partition depends only on the virtual-clock wave
+  // log, never on poll cadence, and each wave's result only on its own
+  // stream and its predecessors' decodes.  A cold-only list is one barrier.
+  const auto earlier = [this](std::size_t a, std::size_t b) {
+    return Due{waves_[a].completion_us, a} < Due{waves_[b].completion_us, b};
+  };
+  std::vector<std::size_t> depth;  // by due index; empty while all are 0
+  std::size_t max_depth = 0;
+  for (std::size_t i = 0; i < due.size(); ++i) {
+    const serve::Wave& wave = waves_[due[i]];
+    for (const std::size_t pred : wave.seeds) {
+      const std::size_t pred_wave = records_[pred].wave_id;
+      if (wave_executed_[pred_wave]) continue;
+      const auto it = std::lower_bound(due.begin(), due.begin() + i,
+                                       pred_wave, earlier);
+      if (it == due.begin() + i || *it != pred_wave)
+        throw InvalidArgument("Scheduler::execute_due: warm wave " +
+                              std::to_string(wave.id) +
+                              " is due but its predecessor wave " +
+                              std::to_string(pred_wave) +
+                              " has neither executed nor come due");
+      if (depth.empty()) depth.assign(due.size(), 0);
+      depth[i] = std::max(depth[i], depth[it - due.begin()] + 1);
+      max_depth = std::max(max_depth, depth[i]);
     }
-    require(end > start,
-            "Scheduler::execute_due: warm wave scheduled before its "
-            "predecessor wave");
-    pool_.parallel_for_lanes(end - start,
-                             [&](std::size_t lane, std::size_t i) {
-                               run_wave(lane, due[start + i]);
-                             });
-    for (std::size_t i = start; i < end; ++i) wave_executed_[due[i]] = 1;
-    start = end;
   }
+  const auto run_barrier = [this](const std::vector<std::size_t>& wave_ids) {
+    pool_.parallel_for_lanes(wave_ids.size(),
+                             [&](std::size_t lane, std::size_t i) {
+                               run_wave(lane, wave_ids[i]);
+                             });
+    for (const std::size_t id : wave_ids) wave_executed_[id] = 1;
+  };
+  if (max_depth == 0) {
+    run_barrier(due);
+    return;
+  }
+  std::vector<std::vector<std::size_t>> by_depth(max_depth + 1);
+  for (std::size_t i = 0; i < due.size(); ++i)
+    by_depth[depth[i]].push_back(due[i]);
+  for (const std::vector<std::size_t>& wave_ids : by_depth)
+    run_barrier(wave_ids);
 }
 
 void Scheduler::run_wave(std::size_t lane, std::size_t wave_id) {
@@ -957,7 +971,7 @@ void Scheduler::run_wave(std::size_t lane, std::size_t wave_id) {
     const sim::Instance& instance = job.uplink();
     // Register the best configuration as a potential warm-start seed for a
     // dependent subframe (keyed by sequence number; thread-safe — the
-    // dependent wave runs in a later execute_due level).
+    // dependent wave runs at a greater execute_due depth or in a later call).
     if (config_.warm_start) planner_.record(wave.jobs[s], *best);
     const wireless::BitVec decoded = core::gray_bits_from_spins(
         *best, instance.use.h.cols(), instance.use.mod);

@@ -6,6 +6,8 @@
 //     for ANY submit/poll interleaving;
 //   * ServiceReport digests are bit-identical across --threads/--replicas
 //     for every queue-policy x device-count combination;
+//   * interleaved warm chains run by dependency depth and keep records and
+//     waves identical at any lanes x replicas and any poll cadence;
 //   * EDF dispatches by (deadline, submission seq); slack defers doomed
 //     jobs behind feasible ones; FIFO preserves the PR-3 arrival order;
 //   * shape-aware routing: a wave only lands on a device whose defect map
@@ -175,6 +177,132 @@ TEST(SchedTest, ReportBitIdenticalAcrossThreadsReplicasForPolicyAndDevices) {
           EXPECT_TRUE(records_equal(baseline.jobs[j], other.jobs[j]));
       }
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Interleaved warm chains: one job per wave on one device, so each user's
+// coherence chain is its own wave chain and the due list alternates chains
+// (u0 k, u1 k, ..., u0 k+1, ...).  execute_due runs a due list by dependency
+// depth, one lane barrier per coherence step; the report must not depend on
+// lanes, replicas or how the client polls.
+
+serve::LoadConfig chain_load() {
+  serve::LoadConfig cfg;
+  cfg.arrivals = serve::ArrivalKind::kSubframe;
+  cfg.subframe_period_us = 200.0;
+  cfg.users = 4;
+  cfg.deadline_us = 1200.0;
+  cfg.problem.users = 8;
+  cfg.problem.mod = wireless::Modulation::kBpsk;
+  cfg.problem.kind = wireless::ChannelKind::kRayleigh;
+  cfg.problem.snr_db = 12.0;
+  cfg.coherence = 0.9;  // chains of 10 subframes
+  return cfg;
+}
+
+serve::ServiceConfig chain_service(std::size_t threads, std::size_t replicas) {
+  serve::ServiceConfig cfg = fast_service(threads, replicas);
+  cfg.max_wave_jobs = 1;
+  cfg.warm_start = true;
+  cfg.warm_num_anneals = 4;
+  return cfg;
+}
+
+sched::SchedConfig chain_sched(std::size_t threads) {
+  sched::SchedConfig cfg = fast_sched(threads);
+  cfg.max_wave_jobs = 1;
+  cfg.warm_start = true;
+  cfg.warm_num_anneals = 4;
+  return cfg;
+}
+
+bool waves_equal(const serve::Wave& a, const serve::Wave& b) {
+  return a.id == b.id && a.shape == b.shape && a.jobs == b.jobs &&
+         a.dispatch_us == b.dispatch_us && a.completion_us == b.completion_us &&
+         a.device == b.device && a.warm == b.warm && a.seeds == b.seeds &&
+         a.failed == b.failed && a.fail_us == b.fail_us;
+}
+
+void expect_same_run(const std::vector<serve::JobRecord>& jobs,
+                     const std::vector<serve::Wave>& waves,
+                     const serve::ServiceReport& reference, const char* what) {
+  ASSERT_EQ(jobs.size(), reference.jobs.size()) << what;
+  for (std::size_t j = 0; j < jobs.size(); ++j)
+    EXPECT_TRUE(records_equal(jobs[j], reference.jobs[j]))
+        << what << ": job " << j;
+  ASSERT_EQ(waves.size(), reference.waves.size()) << what;
+  for (std::size_t w = 0; w < waves.size(); ++w)
+    EXPECT_TRUE(waves_equal(waves[w], reference.waves[w]))
+        << what << ": wave " << w;
+}
+
+/// Barriers one execute_due over the whole wave log takes when split into
+/// greedy ready prefixes (`first`) and by dependency depth (`second`).
+std::pair<std::size_t, std::size_t> prefix_and_depth_barriers(
+    const serve::ServiceReport& report) {
+  std::set<std::pair<double, std::size_t>> due;  // execute_due's pop order
+  for (const serve::Wave& wave : report.waves)
+    due.emplace(wave.completion_us, wave.id);
+  std::map<std::size_t, std::size_t> level;
+  std::map<std::size_t, std::size_t> depth;
+  std::size_t levels = 1;
+  std::size_t depths = 1;
+  for (const auto& [completion_us, w] : due) {
+    bool pred_in_level = false;
+    for (const std::size_t pred : report.waves[w].seeds) {
+      const std::size_t pred_wave = report.jobs[pred].wave_id;
+      pred_in_level = pred_in_level || level[pred_wave] + 1 == levels;
+      depth[w] = std::max(depth[w], depth[pred_wave] + 1);
+    }
+    if (pred_in_level) ++levels;
+    level[w] = levels - 1;
+    depths = std::max(depths, depth[w] + 1);
+  }
+  return {levels, depths};
+}
+
+TEST(SchedTest, InterleavedWarmChainsIdenticalAtAnyLanesReplicasAndCadence) {
+  serve::LoadGenerator gen(chain_load(), 0xC4A1);
+  const std::vector<serve::CellJob> jobs = gen.open_loop(120);  // 3 blocks
+
+  // DecodeService::run submits everything, then finish() executes every
+  // wave in one execute_due call.
+  const serve::ServiceReport reference =
+      serve::DecodeService(chain_service(1, 1)).run(jobs);
+  ASSERT_EQ(reference.waves.size(), jobs.size());
+  EXPECT_EQ(reference.stats.warm_waves(), 108u);  // 9 of every 10 subframes
+  // The scenario the depth split exists for: ready prefixes would cut the
+  // due list at every subframe, depth only at every coherence step.
+  const auto [levels, depths] = prefix_and_depth_barriers(reference);
+  EXPECT_EQ(depths, 10u);
+  EXPECT_GT(levels, depths);
+
+  for (const auto& [threads, replicas] :
+       std::vector<std::pair<std::size_t, std::size_t>>{
+           {4, 1}, {1, 16}, {4, 16}}) {
+    const serve::ServiceReport other =
+        serve::DecodeService(chain_service(threads, replicas)).run(jobs);
+    EXPECT_EQ(other.stats.digest(), reference.stats.digest());
+    expect_same_run(other.jobs, other.waves, reference,
+                    threads == 1 ? "1 lane" : "4 lanes");
+  }
+
+  // Async == batch on a warm workload: polling after every submit, after
+  // every 7th, or never (drain only) leaves the same records and waves.
+  for (const std::size_t every : {std::size_t{1}, std::size_t{7}, jobs.size()}) {
+    sched::SchedClient client(chain_sched(4));
+    std::vector<serve::JobRecord> records(jobs.size());
+    const auto absorb = [&records](const std::vector<sched::Completion>& done) {
+      for (const sched::Completion& c : done) records[c.ticket.seq] = c.record;
+    };
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+      client.submit(jobs[j]);
+      if ((j + 1) % every == 0) absorb(client.poll());
+    }
+    absorb(client.drain());
+    expect_same_run(records, client.scheduler().waves(), reference,
+                    every == 1 ? "poll each" : every == 7 ? "poll 7th" : "drain");
   }
 }
 

@@ -10,12 +10,13 @@
 // against a HARQ-style deadline.  The run then repeats with packing
 // disabled to show what §4 parallelization buys a serving system.
 //
-// Part 2 — async streaming (quamax::sched): the same front-end drives a
-// SchedClient instead of a batch run: submit() returns a ticket per job as
-// each subframe is released, poll() surfaces completions due by the
-// virtual clock, and drain() flushes the tail — the submit/poll API a RAN
-// front-end would actually speak.  The records stream back bit-identical
-// to the batch run's.
+// Part 2 — async streaming (quamax::sched): the same front-end drives the
+// sched::Scheduler directly instead of a batch run: submit() returns a
+// sequence number per job as each subframe is released, collect(now)
+// surfaces completions due by the virtual clock, and finish() plus
+// collect(+inf) flush the tail — the submit/collect API a RAN front-end
+// would actually speak.  The records stream back bit-identical to the
+// batch run's.
 //
 // All output derives from the virtual clock + counter-derived streams:
 // re-running at any --threads / --replicas setting prints identical text.
@@ -37,9 +38,10 @@
 // write makes the exit status non-zero.
 
 #include <cstdio>
+#include <limits>
 #include <vector>
 
-#include "quamax/sched/client.hpp"
+#include "quamax/sched/scheduler.hpp"
 #include "quamax/serve/load_gen.hpp"
 #include "quamax/serve/metrics_export.hpp"
 #include "quamax/serve/service.hpp"
@@ -168,10 +170,10 @@ int main(int argc, char** argv) {
   }
 
   // -------------------------------------------------------------------
-  // Async streaming: the same subframe traffic through SchedClient.
-  // Each subframe's jobs are submitted as they release; poll() after each
-  // subframe returns whatever the pool finished by then.
-  std::printf("\n=== async streaming (sched::SchedClient) ===\n");
+  // Async streaming: the same subframe traffic through the Scheduler.
+  // Each subframe's jobs are submitted as they release; collect(now) after
+  // each subframe returns whatever the pool finished by then.
+  std::printf("\n=== async streaming (sched::Scheduler) ===\n");
   sched::SchedConfig async_cfg;
   async_cfg.annealer = cfg.annealer;
   async_cfg.devices = sched::uniform_devices(cfg.annealer, devices);
@@ -180,32 +182,38 @@ int main(int argc, char** argv) {
   async_cfg.num_threads = threads;
   async_cfg.program_overhead_us = cfg.program_overhead_us;
   async_cfg.seed = cfg.seed;
-  sched::SchedClient client(async_cfg);
+  sched::Scheduler engine(async_cfg);
 
   serve::LoadGenerator stream_gen(load, 0xA2905);
   const std::size_t async_jobs = std::min<std::size_t>(num_jobs, 32);
   const std::vector<serve::CellJob> stream = stream_gen.open_loop(async_jobs);
 
-  std::size_t polled = 0, errors = 0;
+  std::size_t collected = 0, errors = 0;
+  const auto consume = [&](const std::vector<std::size_t>& done) {
+    collected += done.size();
+    for (const std::size_t seq : done)
+      errors += engine.records()[seq].bit_errors;
+  };
   double last_subframe = 0.0;
   for (const serve::CellJob& job : stream) {
     if (job.arrival_us > last_subframe) {
       // Subframe boundary: collect everything the pool completed so far.
-      const std::vector<sched::Completion> done = client.poll();
-      polled += done.size();
-      for (const sched::Completion& c : done) errors += c.record.bit_errors;
-      std::printf("t = %7.0f us: polled %zu completion(s), %zu in flight\n",
-                  last_subframe, done.size(), client.submitted() - polled);
+      const std::vector<std::size_t> done = engine.collect(engine.now_us());
+      consume(done);
+      std::printf("t = %7.0f us: collected %zu completion(s), %zu in flight\n",
+                  last_subframe, done.size(),
+                  engine.records().size() - collected);
       last_subframe = job.arrival_us;
     }
-    client.submit(job);
+    engine.submit(job);
   }
-  const std::vector<sched::Completion> tail = client.drain();
-  polled += tail.size();
-  for (const sched::Completion& c : tail) errors += c.record.bit_errors;
-  std::printf("drain: %zu remaining completion(s); total %zu/%zu jobs, "
-              "%zu bit errors\n",
-              tail.size(), polled, async_jobs, errors);
+  engine.finish();
+  const std::vector<std::size_t> tail =
+      engine.collect(std::numeric_limits<double>::infinity());
+  consume(tail);
+  std::printf("end of stream: %zu remaining completion(s); total %zu/%zu "
+              "jobs, %zu bit errors\n",
+              tail.size(), collected, async_jobs, errors);
 
   std::printf(
       "\nReading: with packing ON, the 8 users of each subframe share one\n"
@@ -213,8 +221,9 @@ int main(int argc, char** argv) {
       "deadline holds with a wide margin; with packing OFF each job queues\n"
       "behind its neighbors' full service times — the §4 parallelization is\n"
       "what makes one annealer a plausible cluster-scale decode appliance.\n"
-      "The async client streams the identical schedule: submit() as\n"
-      "subframes release, poll() per subframe, drain() at end of stream.\n");
+      "The streaming run serves the identical schedule: submit() as\n"
+      "subframes release, collect(now) per subframe, finish() and\n"
+      "collect(+inf) at end of stream.\n");
 
   return session.finish();
 }

@@ -23,29 +23,22 @@
 //     quota at matched BER (bench_warmstart measures the cut; §8 /
 //     bench_reverse_annealing established the single-problem version).
 //
-// WarmStartPlanner packages both: a per-chain reduction cache with delta
-// application, and a thread-safe registry of solved configurations keyed by
-// job id that sched::Scheduler threads into sample_batch_seeded as
-// per-problem warm-start seeds.
+// WarmStartPlanner is the coefficient-delta half: a per-chain reduction
+// cache that serve::LoadGenerator compiles coherent jobs through.  The seed
+// half lives in sched::Scheduler, which keeps each decoded uplink job's
+// best configuration in a slot indexed by sequence number and threads the
+// predecessor's slot into sample_batch_seeded as the warm-start seed.
 //
-// Determinism: the planner holds no RNG and makes no stochastic choice.
-// compile() is a pure function of (cached chain state, h, y); the seed
-// registry is keyed by job id, so record()/seed() results are independent
-// of the (parallel) recording order as long as a seed is recorded before it
-// is read — which the scheduler's dependency-leveled wave execution
-// guarantees on the virtual-clock order "predecessor wave completed before
-// dependent wave dispatched".
+// Determinism: the planner holds no RNG and makes no stochastic choice;
+// compile() is a pure function of (cached chain state, h, y).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <map>
-#include <mutex>
-#include <optional>
 
 #include "quamax/core/reduction.hpp"
 #include "quamax/linalg/matrix.hpp"
-#include "quamax/qubo/ising.hpp"
 #include "quamax/wireless/modulation.hpp"
 
 namespace quamax::anneal {
@@ -58,16 +51,6 @@ struct WarmStartStats {
 
 class WarmStartPlanner {
  public:
-  /// `seed_window` bounds the solved-configuration registry: after a
-  /// record(id, ...), every entry with id <= max recorded id - window is
-  /// evicted (0 = unlimited, the scheduler's setting — its memory is
-  /// already O(jobs)).  Eviction is a pure function of the recorded ids,
-  /// never of wall-clock insertion timing.
-  explicit WarmStartPlanner(std::size_t seed_window = 0)
-      : seed_window_(seed_window) {}
-
-  // -- Coefficient deltas ---------------------------------------------------
-
   /// Reduces (h, y, mod) to an MlProblem for chain `chain` (one chain per
   /// coherent user stream).  When `channel_changed` is false and the chain
   /// has a cached reduction of matching shape/modulation, only the
@@ -76,31 +59,13 @@ class WarmStartPlanner {
   /// the returned coefficients are bit-identical to reducing from scratch);
   /// otherwise a full reduction runs and refreshes the cache.  Matches
   /// sim::make_instance_from_use's reducer choice (closed form except
-  /// 64-QAM).  Not thread-safe against itself — workload generation is
-  /// serial by construction (LoadGenerator materializes ids in order).
+  /// 64-QAM).  Not thread-safe — workload generation is serial by
+  /// construction (LoadGenerator materializes ids in order).
   core::MlProblem compile(std::uint64_t chain, const linalg::CMat& h,
                           const linalg::CVec& y, wireless::Modulation mod,
                           bool channel_changed);
 
-  /// Drops every cached chain reduction (compile stats are kept).
-  void reset_chains();
-
   const WarmStartStats& stats() const noexcept { return stats_; }
-
-  // -- Seed registry --------------------------------------------------------
-
-  /// Registers job `id`'s best decoded logical configuration as a future
-  /// warm-start seed.  Thread-safe (the scheduler records from parallel
-  /// decode lanes); re-recording an id overwrites.
-  void record(std::uint64_t id, qubo::SpinVec best);
-
-  /// The registered configuration for job `id`, or nullopt when it was
-  /// never recorded or slid out of the seed window.  Returns a copy so the
-  /// caller never holds a reference across concurrent record() calls.
-  std::optional<qubo::SpinVec> seed(std::uint64_t id) const;
-
-  /// Registered (unevicted) seed count.
-  std::size_t seeds_held() const;
 
  private:
   struct ChainCache {
@@ -108,14 +73,8 @@ class WarmStartPlanner {
     core::MlProblem problem;
   };
 
-  std::size_t seed_window_;
   WarmStartStats stats_;
   std::map<std::uint64_t, ChainCache> chains_;
-
-  mutable std::mutex seeds_mutex_;
-  std::map<std::uint64_t, qubo::SpinVec> seeds_;
-  std::uint64_t max_recorded_ = 0;
-  bool any_recorded_ = false;
 };
 
 }  // namespace quamax::anneal

@@ -1,7 +1,5 @@
 #include "quamax/anneal/warm_start.hpp"
 
-#include <utility>
-
 namespace quamax::anneal {
 
 core::MlProblem WarmStartPlanner::compile(std::uint64_t chain,
@@ -32,35 +30,6 @@ core::MlProblem WarmStartPlanner::compile(std::uint64_t chain,
   it->second.h = h;
   it->second.problem = problem;
   return problem;
-}
-
-void WarmStartPlanner::reset_chains() { chains_.clear(); }
-
-void WarmStartPlanner::record(std::uint64_t id, qubo::SpinVec best) {
-  const std::lock_guard<std::mutex> lock(seeds_mutex_);
-  seeds_[id] = std::move(best);
-  if (!any_recorded_ || id > max_recorded_) {
-    any_recorded_ = true;
-    max_recorded_ = id;
-  }
-  if (seed_window_ > 0 && max_recorded_ >= seed_window_) {
-    // Evict everything at or below max - window; ids are the sole input,
-    // so the surviving set is identical however record() calls interleave.
-    const std::uint64_t cutoff = max_recorded_ - seed_window_;
-    seeds_.erase(seeds_.begin(), seeds_.upper_bound(cutoff));
-  }
-}
-
-std::optional<qubo::SpinVec> WarmStartPlanner::seed(std::uint64_t id) const {
-  const std::lock_guard<std::mutex> lock(seeds_mutex_);
-  const auto it = seeds_.find(id);
-  if (it == seeds_.end()) return std::nullopt;
-  return it->second;
-}
-
-std::size_t WarmStartPlanner::seeds_held() const {
-  const std::lock_guard<std::mutex> lock(seeds_mutex_);
-  return seeds_.size();
 }
 
 }  // namespace quamax::anneal

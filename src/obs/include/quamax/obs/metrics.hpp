@@ -45,11 +45,10 @@ void write_prometheus(const Registry& registry, std::ostream& out);
 
 /// The shared `--metrics FILE` backend: writes JSON (or CSV when `path`
 /// ends in ".csv") to `path` and the Prometheus exposition of the
-/// collector's Registry snapshot (plus `extra`, merged in when non-null)
-/// to `path` + ".prom".  Returns false if either file cannot be written.
+/// collector's Registry snapshot to `path` + ".prom".  Returns false if
+/// either file cannot be written.
 bool write_metrics_file(const WindowedCollector& collector,
                         const std::vector<SloReport>& slos,
-                        const std::string& path,
-                        const Registry* extra = nullptr);
+                        const std::string& path);
 
 }  // namespace quamax::obs

@@ -1,10 +1,10 @@
 // Named-metric registry: counters, gauges, and quantile sketches.
 //
 // A Registry is a deterministic container, not a global: each owner
-// (ServiceStats, a bench, a shard) holds its own and merges/iterates in a
+// (ServiceStats, a bench, an exporter) holds its own and iterates in a
 // fixed order.  Metrics are stored in name-sorted maps so iteration order —
-// and therefore any dump or merge built on it — is a pure function of the
-// metric names, never of insertion or thread timing.  Counter/gauge updates
+// and therefore any dump built on it — is a pure function of the metric
+// names, never of insertion or thread timing.  Counter/gauge updates
 // are plain integer/double stores; nothing here consumes RNG or takes a
 // lock (all mutation happens on the owner's driver thread, the same
 // single-writer rule the virtual clock already imposes).
@@ -34,12 +34,6 @@ class Registry {
   const std::map<std::string, QuantileSketch>& sketches() const {
     return sketches_;
   }
-
-  /// Folds `other` in: counters add, gauges take the other's value when set,
-  /// sketches merge bucket-wise.  Name-sorted iteration makes the result
-  /// independent of the registries' construction histories; callers merging
-  /// many shards fix the shard order (see QuantileSketch::merge on FP sums).
-  void merge(const Registry& other);
 
   bool empty() const {
     return counters_.empty() && gauges_.empty() && sketches_.empty();

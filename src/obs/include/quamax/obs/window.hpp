@@ -1,5 +1,5 @@
-// Windowed telemetry: tumbling virtual-clock windows over the TraceSink
-// event stream (obs v2).
+// Windowed telemetry: tumbling virtual-clock windows over a finished
+// TraceLog (obs v2).
 //
 // PR 8's tracing answers "what happened to job 17"; the end-of-run digest
 // answers "how did the run do on average".  Neither shows miss rate or p99
@@ -13,18 +13,15 @@
 // energy accounting.
 //
 // Determinism contract (the PR 8 hard rule, unchanged):
-//   * The collector is a TraceSink — it only BUFFERS events when attached
-//     live, or replays a finished TraceLog via ingest().  It consumes no
-//     RNG, takes no lock, and alters no virtual-clock decision; serving
-//     digests are byte-identical with windowing on or off (CI gates it).
+//   * The collector only BUFFERS events, replayed from a finished TraceLog
+//     via ingest() after the run.  It consumes no RNG, takes no lock, and
+//     alters no virtual-clock decision; serving digests are byte-identical
+//     with windowing on or off (CI gates it).
 //   * finalize() canonicalizes: every event vector is sorted by
 //     (timestamp, id) before any accumulation, so the windowed series is a
 //     pure function of the event SET — independent of emission order,
-//     shard interleaving, threads, replicas, or poll cadence.
-//   * merge() concatenates raw event buffers; finalize() then re-derives
-//     from the canonical order.  merge is therefore associative and
-//     commutative BIT-FOR-BIT: merging per-shard/per-device collectors in
-//     any grouping yields the identical series (tests pin this).
+//     threads, replicas, or poll cadence — and the floating-point sums
+//     behind each sketch run in one fixed order.
 //
 // Duty-cycle / energy model (arXiv 2109.01465, "A Cost and Power
 // Feasibility Analysis of Quantum Annealing for NextG Cellular Wireless
@@ -148,10 +145,10 @@ struct WindowedConfig {
   double window_us = 0.0;
 };
 
-/// Buffers trace events (live as a TraceSink, or replayed via ingest) and
-/// derives the windowed series + device accounting at finalize().  See the
-/// header comment for the determinism contract.
-class WindowedCollector final : public TraceSink {
+/// Buffers trace events replayed via ingest() and derives the windowed
+/// series + device accounting at finalize().  See the header comment for
+/// the determinism contract.
+class WindowedCollector {
  public:
   /// Most windows finalize() will derive; a width that would tile the
   /// horizon with more is rejected with InvalidArgument.
@@ -159,23 +156,7 @@ class WindowedCollector final : public TraceSink {
 
   explicit WindowedCollector(WindowedConfig config = {}) : config_(config) {}
 
-  // -- event intake (driver thread; buffer-only, nothing derived here) ----
-  void on_job_submit(const JobSubmitEvent& e) override { log_.on_job_submit(e); }
-  void on_job_dispatch(const JobDispatchEvent& e) override {
-    log_.on_job_dispatch(e);
-  }
-  void on_job_drop(const JobDropEvent& e) override { log_.on_job_drop(e); }
-  void on_wave(const WaveEvent& e) override { log_.on_wave(e); }
-  void on_device_down(const DeviceDownEvent& e) override {
-    log_.on_device_down(e);
-  }
-  void on_device_up(const DeviceUpEvent& e) override { log_.on_device_up(e); }
-  void on_job_retry(const JobRetryEvent& e) override { log_.on_job_retry(e); }
-  void on_job_fallback(const JobFallbackEvent& e) override {
-    log_.on_job_fallback(e);
-  }
-
-  /// Replays a finished TraceLog into the buffer, so binaries can keep ONE
+  /// Replays a finished TraceLog into the buffer, so binaries keep ONE
   /// sink attached to the scheduler (the TraceLog they already write
   /// Chrome traces from) and window it after the run.
   void ingest(const TraceLog& log);
@@ -192,14 +173,9 @@ class WindowedCollector final : public TraceSink {
   /// timestamp.  The window count is ceil(horizon / width) with the last
   /// window padded so N * width tiles [0, H] exactly.  Throws
   /// InvalidArgument when the width is not finite or the count would
-  /// exceed kMaxWindows.  Idempotent: calling
-  /// again re-derives from scratch (e.g. after a merge).
+  /// exceed kMaxWindows.  Idempotent: calling again re-derives from
+  /// scratch (e.g. after another ingest).
   void finalize(double horizon_us = 0.0);
-
-  /// Folds another collector's RAW event buffer (and device declarations)
-  /// into this one.  Call finalize() afterwards; because finalize sorts
-  /// canonically, merge order cannot change any derived byte.
-  void merge(const WindowedCollector& other);
 
   bool finalized() const noexcept { return finalized_; }
   double width_us() const noexcept { return width_us_; }

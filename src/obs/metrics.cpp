@@ -189,7 +189,7 @@ void write_prometheus(const Registry& registry, std::ostream& out) {
 
 bool write_metrics_file(const WindowedCollector& collector,
                         const std::vector<SloReport>& slos,
-                        const std::string& path, const Registry* extra) {
+                        const std::string& path) {
   {
     std::ofstream out(path, std::ios::trunc);
     if (!out) return false;
@@ -211,7 +211,6 @@ bool write_metrics_file(const WindowedCollector& collector,
         static_cast<double>(r.breached_windows);
     registry.gauge(base + "worst_burn") = r.worst_burn;
   }
-  if (extra != nullptr) registry.merge(*extra);
   std::ofstream prom(path + ".prom", std::ios::trunc);
   if (!prom) return false;
   write_prometheus(registry, prom);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <utility>
@@ -71,8 +72,10 @@ bool parse_clause(const std::string& clause, SloSpec* spec,
 
   char* end = nullptr;
   spec->threshold = std::strtod(rest.c_str(), &end);
+  // A nan or infinite threshold (also one that overflows, like 1e999)
+  // would make an SLO that can never fire.
   if (end == nullptr || *end != '\0' || rest.empty() ||
-      spec->threshold <= 0.0) {
+      !std::isfinite(spec->threshold) || spec->threshold <= 0.0) {
     std::string why = "bad threshold '";
     why += rest;
     why += "'";

@@ -62,11 +62,6 @@ void WindowedCollector::set_devices(std::size_t count,
   finalized_ = false;
 }
 
-void WindowedCollector::merge(const WindowedCollector& other) {
-  ingest(other.log_);
-  set_devices(other.declared_devices_, other.power_);
-}
-
 void WindowedCollector::finalize(double horizon_us) {
   // ---- canonicalize: sort every event vector by (timestamp, id) so the
   // series is a pure function of the event set, not the emission order.

@@ -42,7 +42,7 @@
 //     collect() needs completed waves: wave w draws all randomness from
 //     Rng::for_stream(key, w) and runs on a lane-local worker built for its
 //     device's chip, so records are bit-identical at any num_threads /
-//     batch_replicas setting AND any submit/poll interleaving.
+//     batch_replicas setting AND any submit/collect interleaving.
 //
 // Warm-start serving (SchedConfig::warm_start): on coherent workloads
 // (serve::LoadConfig::coherence) an uplink job whose same-block predecessor
@@ -53,10 +53,21 @@
 // every determinism contract above (see ARCHITECTURE.md "Warm-start
 // serving").
 //
-// serve::DecodeService delegates its dispatch to this engine; SchedClient
-// (client.hpp) is the streaming front end.  Both are open-loop: arrival
-// times come from the workload, and outcomes leave only through records()
-// and collect() — nothing calls back into a driver at dispatch.
+// Streaming use (a RAN front-end feeding the pool as subframes arrive):
+//
+//   Scheduler engine(config);
+//   const std::size_t seq = engine.submit(job);     // advances the clock
+//   for (std::size_t done : engine.collect(engine.now_us()))
+//     consume(done, engine.records()[done]);        // due by "now"
+//   engine.finish();                                // end of stream
+//   for (std::size_t done : engine.collect(+inf)) consume(...);
+//
+// Each job is returned by exactly one collect(), never before its
+// completion instant, and its record is the same at any collect cadence —
+// the batch serve::DecodeService is this loop with one final collect.
+// Both are open-loop: arrival times come from the workload, and outcomes
+// leave only through records() and collect() — nothing calls back into a
+// driver at dispatch.
 #pragma once
 
 #include <cstddef>
@@ -72,10 +83,10 @@
 #include <vector>
 
 #include "quamax/anneal/annealer.hpp"
-#include "quamax/anneal/warm_start.hpp"
 #include "quamax/core/thread_pool.hpp"
 #include "quamax/fault/plan.hpp"
 #include "quamax/obs/trace.hpp"
+#include "quamax/qubo/ising.hpp"
 #include "quamax/sched/device_set.hpp"
 #include "quamax/sched/policy.hpp"
 #include "quamax/serve/job.hpp"
@@ -217,9 +228,8 @@ class Scheduler {
   /// this, records() is complete and final.
   void finish();
 
-  /// Latest submitted arrival — the streaming client's notion of "now".
+  /// Latest submitted arrival — a streaming driver's notion of "now".
   double now_us() const noexcept { return now_us_; }
-  std::size_t num_submitted() const noexcept { return jobs_.size(); }
 
   /// Executes the decode of every wave completed by `t` and returns the
   /// sequence numbers of jobs finalized by `t` (wave completion or drop
@@ -366,9 +376,14 @@ class Scheduler {
   std::vector<double> job_ready_us_;      ///< retry backoff gate, by seq
   std::vector<std::size_t> job_retries_;  ///< failed attempts, by seq
   anneal::Schedule warm_schedule_;  ///< reverse schedule warm waves run
-  /// Seed registry: best decoded configuration per uplink sequence number
-  /// (recorded from decode lanes, read when a dependent warm wave runs).
-  anneal::WarmStartPlanner planner_;
+  /// Warm-start seeds by sequence number (warm_start only): run_wave writes
+  /// each decoded uplink member's best configuration into its own slot, and
+  /// a dependent warm wave reads its predecessors' slots.  No lock: a job
+  /// decodes in exactly one wave, the lanes of one execute_due depth write
+  /// distinct slots, and a slot is read only at a greater depth or in a
+  /// later call, after a parallel_for_lanes barrier.  Grown in submit, so
+  /// lanes never resize it.
+  std::vector<qubo::SpinVec> seeds_;
   std::unordered_map<std::size_t, std::size_t> id_to_seq_;  ///< job id -> seq
 
   /// By sequence number.  A deque grows without relocating its elements;

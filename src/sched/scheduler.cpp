@@ -151,15 +151,20 @@ double Scheduler::warm_wave_service_us() const {
 }
 
 std::size_t Scheduler::submit(serve::CellJob job) {
+  // The messages are built only on failure: submit is the per-job hot path.
+  const auto reject = [&job](const std::string& why) {
+    throw InvalidArgument("Scheduler::submit: job " + std::to_string(job.id) +
+                          why);
+  };
   // An infinite arrival would stage a job no round ever admits.
-  require(std::isfinite(job.arrival_us),
-          "Scheduler::submit: job " + std::to_string(job.id) +
-              " has a non-finite arrival time");
-  require(job.arrival_us >= last_arrival_us_,
-          "Scheduler::submit: jobs must arrive in non-decreasing order");
+  if (!std::isfinite(job.arrival_us)) reject(" has a non-finite arrival time");
+  if (job.arrival_us < last_arrival_us_)
+    reject(" arrives at " + std::to_string(job.arrival_us) +
+           " us, before the previous arrival at " +
+           std::to_string(last_arrival_us_) +
+           " us; jobs must arrive in non-decreasing order");
   // Deadlines key the edf/slack order; NaN has no place in an order.
-  require(!std::isnan(job.deadline_us),
-          "Scheduler::submit: job deadline is NaN");
+  if (std::isnan(job.deadline_us)) reject(" has a NaN deadline");
   // Under a fault plan an unservable shape (a defect growth may have eaten
   // the last embedding mid-run) rides the fallback ladder below instead of
   // throwing; without one the historical contract holds.
@@ -180,7 +185,10 @@ std::size_t Scheduler::submit(serve::CellJob job) {
   record.deadline_us = job.deadline_us;
   // Coherence chains reference predecessors by JOB id; map to sequence
   // numbers so warm dispatch can find the prior record.
-  if (config_.warm_start && !job.downlink()) id_to_seq_[job.id] = seq;
+  if (config_.warm_start) {
+    if (!job.downlink()) id_to_seq_[job.id] = seq;
+    seeds_.emplace_back();
+  }
   records_.push_back(record);
   states_.push_back(JobState::kQueued);
   job_ready_us_.push_back(0.0);
@@ -912,15 +920,13 @@ void Scheduler::run_wave(std::size_t lane, std::size_t wave_id) {
     // Reverse anneal from each member's predecessor configuration, at the
     // warm quota, on the warm key family — cold waves' streams are never
     // touched by this draw.
-    std::vector<qubo::SpinVec> seeds(wave.jobs.size());
     std::vector<const qubo::SpinVec*> initial(wave.jobs.size());
     for (std::size_t s = 0; s < wave.jobs.size(); ++s) {
-      std::optional<qubo::SpinVec> seed = planner_.seed(wave.seeds[s]);
-      require(seed.has_value(),
+      const qubo::SpinVec& seed = seeds_[wave.seeds[s]];
+      require(!seed.empty(),
               "Scheduler::run_wave: warm wave executed before its "
               "predecessor's decode was recorded");
-      seeds[s] = std::move(*seed);
-      initial[s] = &seeds[s];
+      initial[s] = &seed;
     }
     Rng stream = Rng::for_stream(warm_key_, wave.id);
     samples = worker->sample_batch_seeded(problems, initial, warm_schedule_,
@@ -969,10 +975,10 @@ void Scheduler::run_wave(std::size_t lane, std::size_t wave_id) {
 
     // Uplink: post-translate the decoded configuration to Gray bits.
     const sim::Instance& instance = job.uplink();
-    // Register the best configuration as a potential warm-start seed for a
-    // dependent subframe (keyed by sequence number; thread-safe — the
-    // dependent wave runs at a greater execute_due depth or in a later call).
-    if (config_.warm_start) planner_.record(wave.jobs[s], *best);
+    // Keep the best configuration as a potential warm-start seed for a
+    // dependent subframe.  This lane owns the slot; the dependent wave
+    // reads it at a greater execute_due depth or in a later call.
+    if (config_.warm_start) seeds_[wave.jobs[s]] = *best;
     const wireless::BitVec decoded = core::gray_bits_from_spins(
         *best, instance.use.h.cols(), instance.use.mod);
     record.bit_errors =

@@ -34,9 +34,10 @@
 // builds a sched::Scheduler per run and submits the arrivals to it in
 // arrival order, which is where multi-chip sharding (per-device defect
 // maps + device-affine embedding caches, ServiceConfig::device_specs),
-// pluggable queue policies (ServiceConfig::queue_policy), and the async
-// submit/poll API (sched::SchedClient) come from.  DecodeService remains
-// the batch (run-to-completion) front end over that engine.  Traffic is
+// pluggable queue policies (ServiceConfig::queue_policy), and the
+// streaming submit/collect API (sched::Scheduler itself) come from.
+// DecodeService remains the batch (run-to-completion) front end over that
+// engine.  Traffic is
 // open-loop, as the radio's subframe clock delivers it: arrival times are
 // fixed by the workload and never feed back from service latency.
 #pragma once
@@ -147,8 +148,8 @@ class DecodeService {
   const ServiceConfig& config() const noexcept { return config_; }
 
   /// The device pool: per-device chip graphs and embedding caches, shared
-  /// by every run of this service (and reusable by a sched::Scheduler or
-  /// SchedClient built on the same chips).
+  /// by every run of this service (and reusable by a sched::Scheduler
+  /// built on the same chips).
   const std::shared_ptr<sched::DeviceSet>& device_set() const noexcept {
     return devices_;
   }

@@ -11,8 +11,9 @@
 //     a sketch merged from shards equals the sketch of the whole stream;
 //   * attaching a trace sink changes NOTHING: the full ServiceReport digest
 //     is byte-identical traced vs untraced across threads x replicas x
-//     devices, and the async SchedClient path (a different poll cadence
-//     over the same virtual clock) emits the identical event stream.
+//     devices, and streaming the workload through sched::Scheduler with
+//     collect() after every submit (a different cadence over the same
+//     virtual clock, on 8 decode lanes) emits the identical event stream.
 
 #include <gtest/gtest.h>
 
@@ -36,7 +37,7 @@
 #include "quamax/obs/slo.hpp"
 #include "quamax/obs/trace.hpp"
 #include "quamax/obs/window.hpp"
-#include "quamax/sched/client.hpp"
+#include "quamax/sched/scheduler.hpp"
 #include "quamax/serve/load_gen.hpp"
 #include "quamax/serve/service.hpp"
 
@@ -131,23 +132,17 @@ TEST(SketchTest, MergeOfShardsEqualsWholeStream) {
   EXPECT_EQ(merged.count(), whole.count());
 }
 
-TEST(RegistryTest, NamedInstrumentsAndMerge) {
+TEST(RegistryTest, NamedInstruments) {
   obs::Registry a;
   EXPECT_TRUE(a.empty());
   a.counter("waves") += 3;
   a.gauge("occupancy") = 7.5;
   a.sketch("latency_us").add(100.0);
 
-  obs::Registry b;
-  b.counter("waves") += 2;
-  b.gauge("occupancy") = 8.0;
-  b.sketch("latency_us").add(300.0);
-
-  a.merge(b);
-  EXPECT_EQ(a.counter("waves"), 5);
-  EXPECT_DOUBLE_EQ(a.gauge("occupancy"), 8.0);  // gauges: last writer wins
-  EXPECT_EQ(a.sketch("latency_us").count(), 2u);
-  EXPECT_DOUBLE_EQ(a.sketch("latency_us").mean(), 200.0);
+  EXPECT_FALSE(a.empty());
+  EXPECT_EQ(a.counter("waves"), 3);
+  EXPECT_DOUBLE_EQ(a.gauge("occupancy"), 7.5);
+  EXPECT_EQ(a.sketch("latency_us").count(), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -285,9 +280,37 @@ TEST(TraceSinkTest, DigestBitIdenticalTracedOrNot) {
   }
 }
 
-TEST(TraceSinkTest, AsyncClientEmitsIdenticalEventStream) {
-  // The same workload through the batch service and through SchedClient
-  // with an aggressive poll cadence (poll after every submit).  Both drive
+/// Streams `jobs` through a Scheduler configured like the single-device
+/// batch service `cfg`, on 8 decode lanes, tracing into `log`:
+/// collect(now) after every `cadence`-th submit, then finish() and
+/// collect(+inf).  Returns how many jobs the collects delivered.
+std::size_t stream_through_scheduler(const serve::ServiceConfig& cfg,
+                                     const std::vector<serve::CellJob>& jobs,
+                                     std::size_t cadence, obs::TraceLog* log) {
+  sched::SchedConfig stream_cfg;
+  stream_cfg.annealer = cfg.annealer;
+  stream_cfg.devices = sched::uniform_devices(cfg.annealer, 1);
+  stream_cfg.num_anneals = cfg.num_anneals;
+  stream_cfg.program_overhead_us = cfg.program_overhead_us;
+  stream_cfg.seed = cfg.seed;
+  stream_cfg.num_threads = 8;
+  stream_cfg.trace = log;
+  sched::Scheduler engine(stream_cfg);
+  std::size_t delivered = 0;
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    engine.submit(jobs[i]);
+    if ((i + 1) % cadence == 0)
+      delivered += engine.collect(engine.now_us()).size();
+  }
+  engine.finish();
+  delivered +=
+      engine.collect(std::numeric_limits<double>::infinity()).size();
+  return delivered;
+}
+
+TEST(TraceSinkTest, StreamingSchedulerEmitsIdenticalEventStream) {
+  // The same workload through the batch service and through the Scheduler
+  // with an aggressive collect cadence (after every submit).  Both drive
   // the same virtual clock, so the traces must match event for event.
   serve::LoadGenerator gen(bpsk8_load(120.0), 0x57EA);
   const std::vector<serve::CellJob> jobs = gen.open_loop(32);
@@ -299,21 +322,8 @@ TEST(TraceSinkTest, AsyncClientEmitsIdenticalEventStream) {
   const serve::ServiceReport report = service.run(jobs);
 
   obs::TraceLog async_log;
-  sched::SchedConfig async_cfg;
-  async_cfg.annealer = cfg.annealer;
-  async_cfg.devices = sched::uniform_devices(cfg.annealer, 1);
-  async_cfg.num_anneals = cfg.num_anneals;
-  async_cfg.program_overhead_us = cfg.program_overhead_us;
-  async_cfg.seed = cfg.seed;
-  async_cfg.trace = &async_log;
-  sched::SchedClient client(async_cfg);
-  std::size_t polled = 0;
-  for (const serve::CellJob& job : jobs) {
-    client.submit(job);
-    polled += client.poll().size();  // cadence: poll every submit
-  }
-  polled += client.drain().size();
-  EXPECT_EQ(polled, report.jobs.size());
+  EXPECT_EQ(stream_through_scheduler(cfg, jobs, 1, &async_log),
+            report.jobs.size());
 
   ASSERT_EQ(async_log.submits().size(), batch_log.submits().size());
   ASSERT_EQ(async_log.dispatches().size(), batch_log.dispatches().size());
@@ -408,71 +418,11 @@ TEST(WindowedCollectorTest, SeriesBitIdenticalAcrossPollCadence) {
 
   for (const std::size_t cadence : {std::size_t{1}, std::size_t{7}}) {
     obs::TraceLog async_log;
-    sched::SchedConfig async_cfg;
-    async_cfg.annealer = cfg.annealer;
-    async_cfg.devices = sched::uniform_devices(cfg.annealer, 1);
-    async_cfg.num_anneals = cfg.num_anneals;
-    async_cfg.program_overhead_us = cfg.program_overhead_us;
-    async_cfg.seed = cfg.seed;
-    async_cfg.trace = &async_log;
-    sched::SchedClient client(async_cfg);
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      client.submit(jobs[i]);
-      if ((i + 1) % cadence == 0) client.poll();
-    }
-    client.drain();
+    EXPECT_EQ(stream_through_scheduler(cfg, jobs, cadence, &async_log),
+              jobs.size());
     EXPECT_EQ(windowed_digest(window_log(async_log, 1)), baseline)
         << "windowed series drifted at poll cadence " << cadence;
   }
-}
-
-TEST(WindowedCollectorTest, MergeIsAssociativeBitForBit) {
-  const obs::TraceLog log = trace_storm();
-  ASSERT_FALSE(log.retries().empty()) << "storm produced no retries";
-  ASSERT_FALSE(log.fallbacks().empty()) << "storm produced no fallbacks";
-
-  // Scatter the event stream round-robin across three shards — the shape a
-  // per-device or per-shard deployment would hand back.
-  obs::TraceLog shards[3];
-  std::size_t turn = 0;
-  const auto pick = [&]() -> obs::TraceLog& { return shards[turn++ % 3]; };
-  for (const auto& e : log.submits()) pick().on_job_submit(e);
-  for (const auto& e : log.dispatches()) pick().on_job_dispatch(e);
-  for (const auto& e : log.drops()) pick().on_job_drop(e);
-  for (const auto& e : log.waves()) pick().on_wave(e);
-  for (const auto& e : log.downs()) pick().on_device_down(e);
-  for (const auto& e : log.ups()) pick().on_device_up(e);
-  for (const auto& e : log.retries()) pick().on_job_retry(e);
-  for (const auto& e : log.fallbacks()) pick().on_job_fallback(e);
-
-  const std::string whole = windowed_digest(window_log(log, 1));
-
-  // (A + B) + C and A + (B + C), with finalize() already run on the inputs:
-  // merge folds raw buffers, so stale derived state cannot leak through.
-  obs::WindowedCollector left;
-  left.ingest(shards[0]);
-  left.finalize();
-  obs::WindowedCollector mid;
-  mid.ingest(shards[1]);
-  left.merge(mid);
-  obs::WindowedCollector right;
-  right.ingest(shards[2]);
-  left.merge(right);
-  left.set_devices(1);
-  left.finalize();
-  EXPECT_EQ(windowed_digest(left), whole);
-
-  obs::WindowedCollector bc;
-  bc.ingest(shards[1]);
-  obs::WindowedCollector c;
-  c.ingest(shards[2]);
-  bc.merge(c);
-  obs::WindowedCollector a;
-  a.ingest(shards[0]);
-  a.merge(bc);
-  a.set_devices(1);
-  a.finalize();
-  EXPECT_EQ(windowed_digest(a), whole);
 }
 
 TEST(WindowedCollectorTest, RejectsWidthsBeyondTheWindowBound) {
@@ -570,7 +520,8 @@ TEST(SloMonitorTest, SpecGrammarParsesAndRejects) {
   EXPECT_EQ(specs[2].name, "miss_rate<=0.1@6/2");
 
   for (const char* bad : {"latency<=5", "miss_rate<0.05", "miss_rate<=-1",
-                          "miss_rate<=0.05@1/2", "p99<=2500@4/0", "p99<="}) {
+                          "miss_rate<=0.05@1/2", "p99<=2500@4/0", "p99<=",
+                          "miss_rate<=nan", "p99<=inf", "p99<=1e999"}) {
     error.clear();
     EXPECT_TRUE(obs::parse_slo_specs(bad, &error).empty()) << bad;
     EXPECT_FALSE(error.empty()) << bad;

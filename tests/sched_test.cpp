@@ -1,9 +1,10 @@
 // quamax::sched — async scheduler, device sharding, and queue policies.
 //
 // The contracts under test (ISSUE 5):
-//   * the async SchedClient (submit/poll/drain) produces records identical
-//     to the batch DecodeService run of the same workload, and identical
-//     for ANY submit/poll interleaving;
+//   * streaming a workload through the Scheduler (submit, collect(now),
+//     finish, collect(+inf)) delivers each job exactly once, never before
+//     its completion, with records identical to the batch DecodeService run
+//     of the same workload at ANY submit/collect interleaving;
 //   * ServiceReport digests are bit-identical across --threads/--replicas
 //     for every queue-policy x device-count combination;
 //   * interleaved warm chains run by dependency depth and keep records and
@@ -33,7 +34,6 @@
 
 #include "quamax/fault/plan.hpp"
 #include "quamax/obs/trace.hpp"
-#include "quamax/sched/client.hpp"
 #include "quamax/sched/device_set.hpp"
 #include "quamax/sched/policy.hpp"
 #include "quamax/sched/scheduler.hpp"
@@ -93,61 +93,69 @@ bool records_equal(const serve::JobRecord& a, const serve::JobRecord& b) {
          a.num_bits == b.num_bits && a.ground_state == b.ground_state;
 }
 
-TEST(SchedClientTest, AsyncDrainMatchesBatchService) {
+constexpr double kEndOfStream = std::numeric_limits<double>::infinity();
+
+TEST(SchedStreamTest, FinishThenCollectMatchesBatchService) {
   serve::LoadGenerator gen(bpsk8_load(80.0), 0xA51);
   const std::vector<serve::CellJob> jobs = gen.open_loop(40);
 
   const serve::ServiceReport batch =
       serve::DecodeService(fast_service()).run(jobs);
 
-  sched::SchedClient client(fast_sched());
-  for (const serve::CellJob& job : jobs) client.submit(job);
-  const std::vector<sched::Completion> completions = client.drain();
+  sched::Scheduler engine(fast_sched());
+  for (const serve::CellJob& job : jobs) engine.submit(job);
+  engine.finish();
+  const std::vector<std::size_t> done = engine.collect(kEndOfStream);
 
-  ASSERT_EQ(completions.size(), batch.jobs.size());
-  // drain() orders by (completion, ticket); per-ticket records must match
-  // the batch report's per-index records exactly.
-  for (const sched::Completion& c : completions)
-    EXPECT_TRUE(records_equal(c.record, batch.jobs[c.ticket.seq]))
-        << "ticket " << c.ticket.seq;
-  // Completion order is sorted by completion time.
-  for (std::size_t i = 1; i < completions.size(); ++i)
-    EXPECT_LE(completions[i - 1].record.completion_us,
-              completions[i].record.completion_us);
+  ASSERT_EQ(done.size(), batch.jobs.size());
+  EXPECT_EQ(std::set<std::size_t>(done.begin(), done.end()).size(),
+            done.size());
+  // collect() orders by (completion, seq); per-seq records must match the
+  // batch report's per-index records exactly.
+  for (const std::size_t seq : done)
+    EXPECT_TRUE(records_equal(engine.records()[seq], batch.jobs[seq]))
+        << "job " << seq;
+  for (std::size_t i = 1; i < done.size(); ++i)
+    EXPECT_LE(engine.records()[done[i - 1]].completion_us,
+              engine.records()[done[i]].completion_us);
 }
 
-TEST(SchedClientTest, PollStreamsEachCompletionExactlyOnceAnyCadence) {
+TEST(SchedStreamTest, CollectStreamsEachCompletionExactlyOnceAnyCadence) {
   serve::LoadGenerator gen(bpsk8_load(60.0), 0xA52);
   const std::vector<serve::CellJob> jobs = gen.open_loop(30);
 
-  // Reference: drain-only client.
-  sched::SchedClient lazy(fast_sched());
+  // Reference: one collect at end of stream.
+  sched::Scheduler lazy(fast_sched());
   for (const serve::CellJob& job : jobs) lazy.submit(job);
+  lazy.finish();
   std::map<std::size_t, serve::JobRecord> reference;
-  for (const sched::Completion& c : lazy.drain()) reference[c.ticket.seq] = c.record;
+  for (const std::size_t seq : lazy.collect(kEndOfStream))
+    reference[seq] = lazy.records()[seq];
 
-  // Eager client: poll after every submit.
-  sched::SchedClient eager(fast_sched());
+  // Eager driver: collect(now) after every submit.  Each record is copied
+  // when collect() returns it, so it must already be final then.
+  sched::Scheduler eager(fast_sched());
   std::map<std::size_t, serve::JobRecord> seen;
-  const auto absorb = [&seen](const std::vector<sched::Completion>& batch) {
-    for (const sched::Completion& c : batch) {
-      EXPECT_EQ(seen.count(c.ticket.seq), 0u) << "duplicate completion";
-      seen[c.ticket.seq] = c.record;
+  const auto absorb = [&](const std::vector<std::size_t>& done) {
+    for (const std::size_t seq : done) {
+      EXPECT_EQ(seen.count(seq), 0u) << "duplicate completion";
+      seen[seq] = eager.records()[seq];
     }
   };
   for (const serve::CellJob& job : jobs) {
     const double now = job.arrival_us;
     eager.submit(job);
-    absorb(eager.poll());
-    // Poll may only surface jobs completed by the clock.
+    absorb(eager.collect(eager.now_us()));
+    // collect(now) may only surface jobs completed by the clock.
     for (const auto& [seq, record] : seen)
       EXPECT_LE(record.completion_us, now);
   }
-  absorb(eager.drain());
+  eager.finish();
+  absorb(eager.collect(kEndOfStream));
 
   ASSERT_EQ(seen.size(), reference.size());
   for (const auto& [seq, record] : reference)
-    EXPECT_TRUE(records_equal(seen.at(seq), record)) << "ticket " << seq;
+    EXPECT_TRUE(records_equal(seen.at(seq), record)) << "job " << seq;
 }
 
 TEST(SchedTest, ReportBitIdenticalAcrossThreadsReplicasForPolicyAndDevices) {
@@ -288,21 +296,24 @@ TEST(SchedTest, InterleavedWarmChainsIdenticalAtAnyLanesReplicasAndCadence) {
                     threads == 1 ? "1 lane" : "4 lanes");
   }
 
-  // Async == batch on a warm workload: polling after every submit, after
-  // every 7th, or never (drain only) leaves the same records and waves.
+  // Async == batch on a warm workload: collecting after every submit,
+  // after every 7th, or only at end of stream leaves the same records and
+  // waves.
   for (const std::size_t every : {std::size_t{1}, std::size_t{7}, jobs.size()}) {
-    sched::SchedClient client(chain_sched(4));
+    sched::Scheduler engine(chain_sched(4));
     std::vector<serve::JobRecord> records(jobs.size());
-    const auto absorb = [&records](const std::vector<sched::Completion>& done) {
-      for (const sched::Completion& c : done) records[c.ticket.seq] = c.record;
+    const auto absorb = [&](const std::vector<std::size_t>& done) {
+      for (const std::size_t seq : done) records[seq] = engine.records()[seq];
     };
     for (std::size_t j = 0; j < jobs.size(); ++j) {
-      client.submit(jobs[j]);
-      if ((j + 1) % every == 0) absorb(client.poll());
+      engine.submit(jobs[j]);
+      if ((j + 1) % every == 0) absorb(engine.collect(engine.now_us()));
     }
-    absorb(client.drain());
-    expect_same_run(records, client.scheduler().waves(), reference,
-                    every == 1 ? "poll each" : every == 7 ? "poll 7th" : "drain");
+    engine.finish();
+    absorb(engine.collect(kEndOfStream));
+    expect_same_run(records, engine.waves(), reference,
+                    every == 1 ? "collect each" : every == 7 ? "collect 7th"
+                                                             : "end only");
   }
 }
 
@@ -404,15 +415,39 @@ TEST(SchedTest, SubmitRejectsShapeNoDeviceCanEmbed) {
 
   sched::SchedConfig cfg = fast_sched();
   cfg.devices = {sched::DeviceSpec{.disabled = dead_row_map()}};
-  sched::SchedClient client(cfg);
-  EXPECT_THROW(client.submit(gen.job(0, 0, 0.0)), CapacityError);
+  sched::Scheduler engine(cfg);
+  EXPECT_THROW(engine.submit(gen.job(0, 0, 0.0)), CapacityError);
+}
+
+/// The InvalidArgument message submit() throws for `job`, or "" when the
+/// job is accepted.
+std::string submit_error(sched::Scheduler& engine, serve::CellJob job) {
+  try {
+    engine.submit(std::move(job));
+  } catch (const InvalidArgument& e) {
+    return e.what();
+  }
+  return "";
 }
 
 TEST(SchedTest, SubmitRequiresMonotoneArrivals) {
   serve::LoadGenerator gen(bpsk8_load(10.0), 0xA59);
-  sched::SchedClient client(fast_sched());
-  client.submit(gen.job(0, 0, 100.0));
-  EXPECT_THROW(client.submit(gen.job(1, 1, 50.0)), InvalidArgument);
+  sched::Scheduler engine(fast_sched());
+  engine.submit(gen.job(0, 0, 100.0));
+  const std::string early = submit_error(engine, gen.job(1, 1, 50.0));
+  EXPECT_NE(early.find("job 1 "), std::string::npos) << early;
+  EXPECT_NE(early.find("50.0"), std::string::npos) << early;
+  EXPECT_NE(early.find("100.0"), std::string::npos) << early;
+
+  serve::CellJob no_deadline = gen.job(2, 2, 100.0);
+  no_deadline.deadline_us = std::numeric_limits<double>::quiet_NaN();
+  const std::string nan = submit_error(engine, std::move(no_deadline));
+  EXPECT_NE(nan.find("job 2 "), std::string::npos) << nan;
+  EXPECT_NE(nan.find("NaN deadline"), std::string::npos) << nan;
+
+  // Neither rejected job left a trace.
+  engine.finish();
+  EXPECT_EQ(engine.records().size(), 1u);
 }
 
 TEST(SchedTest, SubmitRejectsNonFiniteArrivalNamingTheJob) {
@@ -421,16 +456,12 @@ TEST(SchedTest, SubmitRejectsNonFiniteArrivalNamingTheJob) {
                                std::numeric_limits<double>::quiet_NaN()}) {
     sched::Scheduler scheduler(fast_sched());
     scheduler.submit(gen.job(0, 0, 100.0));
-    try {
-      scheduler.submit(gen.job(17, 1, arrival));
-      ADD_FAILURE() << "arrival " << arrival << " was accepted";
-    } catch (const InvalidArgument& e) {
-      EXPECT_NE(std::string(e.what()).find("job 17"), std::string::npos)
-          << e.what();
-    }
+    const std::string error = submit_error(scheduler, gen.job(17, 1, arrival));
+    EXPECT_NE(error.find("job 17"), std::string::npos)
+        << "arrival " << arrival << ": " << error;
     // The rejected job left no trace: the run still finishes cleanly.
     scheduler.finish();
-    EXPECT_EQ(scheduler.num_submitted(), 1u);
+    EXPECT_EQ(scheduler.records().size(), 1u);
   }
 }
 

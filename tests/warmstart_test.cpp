@@ -3,8 +3,6 @@
 //
 // Contracts under test:
 //
-//   * the planner's seed registry round-trips configurations by job id and
-//     evicts purely by id window (never by insertion timing);
 //   * compile() with channel_changed=false produces coefficients that are
 //     BIT-IDENTICAL to a from-scratch reduction — fields, couplings, and
 //     offset, across all four modulations (the delta contract);
@@ -14,7 +12,7 @@
 //   * warm-start bit-identity: on a coherent workload the full report is
 //     unchanged across --threads x --replicas combinations at a fixed
 //     device count (warm waves decode from counter-derived streams keyed
-//     by wave id, seeds travel by job id).
+//     by wave id, seeds travel in per-sequence slots).
 
 #include <gtest/gtest.h>
 
@@ -33,44 +31,6 @@
 
 namespace quamax {
 namespace {
-
-TEST(WarmStartPlannerTest, SeedRegistryRoundTrips) {
-  anneal::WarmStartPlanner planner;
-  EXPECT_EQ(planner.seeds_held(), 0u);
-  EXPECT_FALSE(planner.seed(5).has_value());
-
-  planner.record(5, qubo::SpinVec{+1, -1, +1});
-  planner.record(7, qubo::SpinVec{-1, -1});
-  ASSERT_TRUE(planner.seed(5).has_value());
-  EXPECT_EQ(*planner.seed(5), (qubo::SpinVec{+1, -1, +1}));
-  ASSERT_TRUE(planner.seed(7).has_value());
-  EXPECT_EQ(*planner.seed(7), (qubo::SpinVec{-1, -1}));
-  EXPECT_FALSE(planner.seed(6).has_value());
-  EXPECT_EQ(planner.seeds_held(), 2u);
-
-  // Re-recording an id overwrites (a chain's latest decode wins).
-  planner.record(5, qubo::SpinVec{-1, +1, -1});
-  EXPECT_EQ(*planner.seed(5), (qubo::SpinVec{-1, +1, -1}));
-  EXPECT_EQ(planner.seeds_held(), 2u);
-}
-
-TEST(WarmStartPlannerTest, SeedWindowEvictsByIdOnly) {
-  anneal::WarmStartPlanner planner(/*seed_window=*/4);
-  for (std::uint64_t id = 0; id < 10; ++id)
-    planner.record(id, qubo::SpinVec{static_cast<std::int8_t>(id % 2 ? 1 : -1)});
-
-  // max recorded = 9, window = 4: ids <= 5 are gone, 6..9 remain.
-  EXPECT_EQ(planner.seeds_held(), 4u);
-  EXPECT_FALSE(planner.seed(5).has_value());
-  ASSERT_TRUE(planner.seed(6).has_value());
-  ASSERT_TRUE(planner.seed(9).has_value());
-
-  // Late out-of-order recording below the watermark is evicted immediately:
-  // eviction depends on the id set, not on arrival timing.
-  planner.record(2, qubo::SpinVec{+1});
-  EXPECT_FALSE(planner.seed(2).has_value());
-  EXPECT_EQ(planner.seeds_held(), 4u);
-}
 
 void expect_problems_identical(const core::MlProblem& a,
                                const core::MlProblem& b) {

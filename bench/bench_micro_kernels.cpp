@@ -3,7 +3,7 @@
 //   * §3.2.2: the closed-form Ising coefficients make the ML->QA conversion
 //     cheap ("computational time ... can be neglected") — compare generic
 //     norm expansion against the closed forms;
-//   * embedding compilation and unembedding costs;
+//   * embedding compilation, per-problem scatter and unembedding costs;
 //   * the SA substitute's per-anneal cost (the classical analog of Ta), in
 //     both the scalar and the multi-replica batched kernel (BM_SaSweep*:
 //     the items/s column is spin-updates per second, so the batched-kernel
@@ -60,6 +60,10 @@ void BM_CliqueEmbedding(benchmark::State& state) {
 }
 BENCHMARK(BM_CliqueEmbedding)->Arg(16)->Arg(36)->Arg(60);
 
+// BM_EmbedCompile: the one-off embed (compile_embedding, then the value
+// scatter); BM_EmbedScatter: the per-problem scatter through a compiled
+// template, as the annealers run it.  items/s is embeds per second, so
+// their within-run ratio is what compiling each placement once saves.
 void BM_EmbedCompile(benchmark::State& state) {
   const chimera::ChimeraGraph chip(16);
   const auto use = make_use(static_cast<std::size_t>(state.range(0)),
@@ -69,8 +73,23 @@ void BM_EmbedCompile(benchmark::State& state) {
   for (auto _ : state)
     benchmark::DoNotOptimize(
         chimera::embed(problem.ising, embedding, chip, chimera::EmbedParams{}));
+  state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_EmbedCompile)->Arg(16)->Arg(36)->Arg(60);
+
+void BM_EmbedScatter(benchmark::State& state) {
+  const chimera::ChimeraGraph chip(16);
+  const auto use = make_use(static_cast<std::size_t>(state.range(0)),
+                            Modulation::kBpsk, 20.0);
+  const auto problem = core::reduce_ml_to_ising(use.h, use.y, use.mod);
+  const chimera::EmbeddingTemplate compiled = chimera::compile_embedding(
+      chimera::find_clique_embedding(problem.num_vars(), chip), chip);
+  for (auto _ : state)
+    benchmark::DoNotOptimize(
+        chimera::embed(problem.ising, compiled, chimera::EmbedParams{}));
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EmbedScatter)->Arg(16)->Arg(36)->Arg(60);
 
 void BM_SaAnnealEmbedded(benchmark::State& state) {
   // One anneal at Ta = 1 us on the embedded problem (per-anneal CPU cost of

@@ -94,10 +94,10 @@ std::vector<qubo::SpinVec> ChimeraAnnealer::sample(const qubo::IsingModel& probl
                                                    Rng& rng) {
   require(num_anneals >= 1, "ChimeraAnnealer::sample: need at least one anneal");
 
-  const std::shared_ptr<const chimera::Embedding> embedding =
-      embeddings_->clique(problem.num_spins());
+  const std::shared_ptr<const chimera::EmbeddingTemplate> compiled =
+      embeddings_->clique_template(problem.num_spins());
   const chimera::EmbeddedProblem embedded =
-      chimera::embed(problem, *embedding, graph_, config_.embed);
+      chimera::embed(problem, *compiled, config_.embed);
 
   SaEngine engine(embedded.physical);
   // Chain-collective moves: the classical counterpart of the annealer's
@@ -195,11 +195,12 @@ std::vector<std::vector<qubo::SpinVec>> ChimeraAnnealer::sample_batch_impl(
     require(p != nullptr && p->num_spins() == n,
             "sample_batch: all problems must have the same variable count");
 
-  // Placements come from the shape-keyed cache at full chip capacity; a
-  // prefix of the maximal tiling equals what a smaller compilation would
-  // return, so only min(capacity, wave size) slots are used per wave.
-  const std::shared_ptr<const std::vector<chimera::Embedding>> slots_all =
-      embeddings_->parallel(n);
+  // Compiled placements come from the shape-keyed cache at full chip
+  // capacity; a prefix of the maximal tiling equals what a smaller
+  // compilation would return, so only min(capacity, wave size) slots are
+  // used per wave.
+  const std::shared_ptr<const std::vector<chimera::EmbeddingTemplate>> slots_all =
+      embeddings_->parallel_templates(n);
   const std::size_t num_slots = std::min(slots_all->size(), problems.size());
   const std::vector<double> betas = schedule.betas();
 
@@ -215,13 +216,14 @@ std::vector<std::vector<qubo::SpinVec>> ChimeraAnnealer::sample_batch_impl(
     const std::size_t wave_size =
         std::min(num_slots, problems.size() - wave_start);
 
-    // Compile every slot (fanned across the batch runtime: each slot's
-    // compilation is a pure function of its problem and placement, written
-    // to a per-index slot) and merge into one chip-wide Ising problem.
+    // Scatter every slot's coefficients (fanned across the batch runtime:
+    // each slot's embedding is a pure function of its problem and compiled
+    // placement, written to a per-index slot) and merge into one chip-wide
+    // Ising problem.
     std::vector<chimera::EmbeddedProblem> embedded(wave_size);
     pool().parallel_for(wave_size, [&](std::size_t s) {
       embedded[s] = chimera::embed(*problems[wave_start + s], (*slots_all)[s],
-                                   graph_, config_.embed);
+                                   config_.embed);
     });
     const chimera::MergedWave wave = chimera::merge_embedded(embedded);
 

@@ -127,7 +127,8 @@ class ChimeraAnnealer final : public core::IsingSampler {
   void set_config(const AnnealerConfig& config);
 
   /// Shares a shape-keyed embedding cache with this annealer (placements
-  /// only — coefficients are compiled per problem).  The cache's graph must
+  /// and their compiled templates; only the coefficient scatter runs per
+  /// problem).  The cache's graph must
   /// have the same topology as this annealer's chip.  serve::DecodeService
   /// wires one cache into every worker so a fleet of annealers compiles each
   /// problem shape once; by default each annealer owns a private cache.

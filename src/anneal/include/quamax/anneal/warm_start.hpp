@@ -13,8 +13,8 @@
 //     realization) a cached reduction therefore needs only its fields
 //     rebuilt (core::update_ml_fields) — an O(Nt Nr) update instead of the
 //     O(Nt^2 Nr) full reduce, with NO re-embed either: chimera placements
-//     are shape-keyed (EmbeddingCache) and coefficients are compiled per
-//     wave regardless.
+//     and their compiled templates are shape-keyed (EmbeddingCache), and
+//     every wave scatters its coefficients through them regardless.
 //
 //   * SEED REUSE — the previous subframe's best spin configuration is a
 //     near-ground warm start for the next subframe of the same chain

@@ -90,18 +90,18 @@ std::vector<Embedding> find_parallel_embeddings(std::size_t num_logical,
   return out;
 }
 
-EmbeddedProblem embed(const qubo::IsingModel& logical, const Embedding& embedding,
-                      const ChimeraGraph& graph, const EmbedParams& params) {
-  QUAMAX_PROF_SCOPE("chimera.embed");
-  require(embedding.num_logical == logical.num_spins(),
-          "embed: embedding size does not match problem");
-  require(params.jf > 0.0, "embed: |J_F| must be positive");
+EmbeddingTemplate compile_embedding(const Embedding& embedding,
+                                    const ChimeraGraph& graph) {
+  const std::size_t n = embedding.num_logical;
+  require(embedding.chains.size() == n,
+          "embed: the embedding needs one chain per logical variable");
 
-  // Compact physical index space.
-  EmbeddedProblem out;
+  // Compact physical index space, in chain order.
+  EmbeddingTemplate out;
+  out.num_logical = n;
   std::unordered_map<Qubit, std::uint32_t> compact;
-  out.chains.resize(embedding.chains.size());
-  for (std::size_t i = 0; i < embedding.chains.size(); ++i) {
+  out.chains.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
     for (Qubit q : embedding.chains[i]) {
       auto [it, inserted] =
           compact.emplace(q, static_cast<std::uint32_t>(out.compact_to_qubit.size()));
@@ -111,8 +111,66 @@ EmbeddedProblem embed(const qubo::IsingModel& logical, const Embedding& embeddin
     }
   }
 
-  const std::size_t p = out.compact_to_qubit.size();
-  out.physical = qubo::IsingModel(p);
+  // Eq. 10's chain bonds, then Eq. 12's coupler for each logical pair: the
+  // first chain-i x chain-j pair the chip couples.
+  const auto edge = [](std::uint32_t a, std::uint32_t b) {
+    return qubo::Coupling{std::min(a, b), std::max(a, b), 0.0};
+  };
+  std::vector<qubo::Coupling> bonds;
+  for (const auto& chain : out.chains)
+    for (std::size_t c = 0; c + 1 < chain.size(); ++c)
+      bonds.push_back(edge(chain[c], chain[c + 1]));
+  // pair_slot holds each pair's index into `pairs` until the pattern exists.
+  std::vector<qubo::Coupling> pairs;
+  out.pair_slot.assign(n * n, EmbeddingTemplate::kNoCoupler);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j) {
+      bool placed = false;
+      for (std::uint32_t a : out.chains[i]) {
+        for (std::uint32_t b : out.chains[j]) {
+          if (graph.has_coupler(out.compact_to_qubit[a], out.compact_to_qubit[b])) {
+            out.pair_slot[i * n + j] = static_cast<std::uint32_t>(pairs.size());
+            pairs.push_back(edge(a, b));
+            placed = true;
+            break;
+          }
+        }
+        if (placed) break;
+      }
+    }
+  }
+
+  // The coalesced order: sorted by (i, j).  Chains are disjoint paths, so
+  // every bond and every pair's coupler is a distinct edge.
+  const auto before = [](const qubo::Coupling& x, const qubo::Coupling& y) {
+    return x.i != y.i ? x.i < y.i : x.j < y.j;
+  };
+  out.pattern = bonds;
+  out.pattern.insert(out.pattern.end(), pairs.begin(), pairs.end());
+  std::sort(out.pattern.begin(), out.pattern.end(), before);
+  const auto slot_of = [&](const qubo::Coupling& e) {
+    return static_cast<std::uint32_t>(
+        std::lower_bound(out.pattern.begin(), out.pattern.end(), e, before) -
+        out.pattern.begin());
+  };
+  for (const qubo::Coupling& e : bonds) out.bond_slots.push_back(slot_of(e));
+  for (std::uint32_t& s : out.pair_slot)
+    if (s != EmbeddingTemplate::kNoCoupler) s = slot_of(pairs[s]);
+  return out;
+}
+
+EmbeddedProblem embed(const qubo::IsingModel& logical,
+                      const EmbeddingTemplate& compiled,
+                      const EmbedParams& params) {
+  QUAMAX_PROF_SCOPE("chimera.embed");
+  const std::size_t n = compiled.num_logical;
+  require(n == logical.num_spins(),
+          "embed: embedding size does not match problem");
+  require(params.jf > 0.0, "embed: |J_F| must be positive");
+
+  EmbeddedProblem out;
+  out.compact_to_qubit = compiled.compact_to_qubit;
+  out.chains = compiled.chains;
 
   // Dynamic-range normalization: the chip programs couplings in [-1, +1]
   // (negative end doubled to -2 with improved range), so the logical problem
@@ -121,38 +179,40 @@ EmbeddedProblem embed(const qubo::IsingModel& logical, const Embedding& embeddin
   out.logical_scale = (max_coeff > 0.0) ? max_coeff : 1.0;
   const double chain_coupling = params.improved_range ? -2.0 : -1.0;
 
-  // Eq. 10: ferromagnetic chain bonds along each chain's qubit path.
-  for (const auto& chain : out.chains)
-    for (std::size_t c = 0; c + 1 < chain.size(); ++c)
-      out.physical.add_coupling(chain[c], chain[c + 1], chain_coupling);
-
   // Eq. 11: fields split evenly across the chain, divided by |J_F|.
-  for (std::size_t i = 0; i < logical.num_spins(); ++i) {
+  std::vector<double> fields(compiled.compact_to_qubit.size(), 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
     const double share = logical.field(i) / out.logical_scale / params.jf /
-                         static_cast<double>(out.chains[i].size());
-    for (std::uint32_t q : out.chains[i]) out.physical.field(q) += share;
+                         static_cast<double>(compiled.chains[i].size());
+    for (std::uint32_t q : compiled.chains[i]) fields[q] += share;
   }
 
-  // Eq. 12: each logical coupling on one available physical coupler.
+  // Eq. 10 chain bonds, then Eq. 12 logical couplings in input order, each
+  // accumulated into its pattern slot from 0.0.
+  std::vector<double> slot(compiled.pattern.size(), 0.0);
+  for (const std::uint32_t s : compiled.bond_slots) slot[s] += chain_coupling;
   for (const qubo::Coupling& c : logical.couplings()) {
     if (c.g == 0.0) continue;
-    bool placed = false;
-    for (std::uint32_t a : out.chains[c.i]) {
-      for (std::uint32_t b : out.chains[c.j]) {
-        if (graph.has_coupler(out.compact_to_qubit[a], out.compact_to_qubit[b])) {
-          out.physical.add_coupling(a, b, c.g / out.logical_scale / params.jf);
-          placed = true;
-          break;
-        }
-      }
-      if (placed) break;
-    }
-    require(placed, "embed: logical coupling has no physical coupler (not a "
-                    "clique embedding?)");
+    const std::uint32_t s = compiled.pair_slot[c.i * n + c.j];
+    if (s == EmbeddingTemplate::kNoCoupler)
+      throw InvalidArgument(
+          "embed: logical coupling has no physical coupler (not a clique "
+          "embedding?)");
+    slot[s] += c.g / out.logical_scale / params.jf;
   }
 
-  out.physical.coalesce();
+  std::vector<qubo::Coupling> couplings;
+  couplings.reserve(slot.size());
+  for (std::size_t s = 0; s < slot.size(); ++s)
+    if (slot[s] != 0.0)
+      couplings.push_back({compiled.pattern[s].i, compiled.pattern[s].j, slot[s]});
+  out.physical = qubo::IsingModel(std::move(fields), std::move(couplings));
   return out;
+}
+
+EmbeddedProblem embed(const qubo::IsingModel& logical, const Embedding& embedding,
+                      const ChimeraGraph& graph, const EmbedParams& params) {
+  return embed(logical, compile_embedding(embedding, graph), params);
 }
 
 qubo::SpinVec unembed(const qubo::SpinVec& physical_spins,

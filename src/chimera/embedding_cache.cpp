@@ -2,15 +2,18 @@
 
 namespace quamax::chimera {
 
-std::shared_ptr<const Embedding> EmbeddingCache::clique(std::size_t num_logical) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  auto hit = clique_.find(num_logical);
-  if (hit == clique_.end()) {
-    // Insert only on success: a throwing placement search must not leave a
-    // null entry behind for later lookups to trip on.
-    hit = clique_
-              .emplace(num_logical, std::make_shared<const Embedding>(
-                                        find_clique_embedding(num_logical, graph_)))
+const std::shared_ptr<const std::vector<Embedding>>& EmbeddingCache::parallel_locked(
+    std::size_t num_logical) {
+  auto hit = parallel_.find(num_logical);
+  if (hit == parallel_.end()) {
+    // num_qubits() over-counts any possible placement count, so the search
+    // returns every slot the tiling yields — the chip's true capacity.
+    // Insert only on success (see clique_template()).
+    hit = parallel_
+              .emplace(num_logical,
+                       std::make_shared<const std::vector<Embedding>>(
+                           find_parallel_embeddings(num_logical,
+                                                    graph_.num_qubits(), graph_)))
               .first;
   }
   return hit->second;
@@ -19,16 +22,37 @@ std::shared_ptr<const Embedding> EmbeddingCache::clique(std::size_t num_logical)
 std::shared_ptr<const std::vector<Embedding>> EmbeddingCache::parallel(
     std::size_t num_logical) {
   const std::lock_guard<std::mutex> lock(mu_);
-  auto hit = parallel_.find(num_logical);
-  if (hit == parallel_.end()) {
-    // num_qubits() over-counts any possible placement count, so the search
-    // returns every slot the tiling yields — the chip's true capacity.
-    // Insert only on success (see clique()).
-    hit = parallel_
+  return parallel_locked(num_logical);
+}
+
+std::shared_ptr<const EmbeddingTemplate> EmbeddingCache::clique_template(
+    std::size_t num_logical) {
+  const std::lock_guard<std::mutex> lock(mu_);
+  auto hit = clique_.find(num_logical);
+  if (hit == clique_.end()) {
+    // Insert only on success: a throwing placement search must not leave a
+    // null entry behind for later lookups to trip on.
+    hit = clique_
               .emplace(num_logical,
-                       std::make_shared<const std::vector<Embedding>>(
-                           find_parallel_embeddings(num_logical,
-                                                    graph_.num_qubits(), graph_)))
+                       std::make_shared<const EmbeddingTemplate>(compile_embedding(
+                           find_clique_embedding(num_logical, graph_), graph_)))
+              .first;
+  }
+  return hit->second;
+}
+
+std::shared_ptr<const std::vector<EmbeddingTemplate>>
+EmbeddingCache::parallel_templates(std::size_t num_logical) {
+  const std::lock_guard<std::mutex> lock(mu_);
+  auto hit = parallel_templates_.find(num_logical);
+  if (hit == parallel_templates_.end()) {
+    std::vector<EmbeddingTemplate> compiled;
+    for (const Embedding& slot : *parallel_locked(num_logical))
+      compiled.push_back(compile_embedding(slot, graph_));
+    hit = parallel_templates_
+              .emplace(num_logical,
+                       std::make_shared<const std::vector<EmbeddingTemplate>>(
+                           std::move(compiled)))
               .first;
   }
   return hit->second;
@@ -43,11 +67,7 @@ void EmbeddingCache::invalidate(ChimeraGraph graph) {
   graph_ = std::move(graph);
   clique_.clear();
   parallel_.clear();
-  infeasible_.clear();
-}
-
-void EmbeddingCache::clear_negative() {
-  const std::lock_guard<std::mutex> lock(mu_);
+  parallel_templates_.clear();
   infeasible_.clear();
 }
 

@@ -16,6 +16,13 @@
 // couplings are divided by |J_F|, and fields are divided by |J_F| and split
 // evenly over each chain's qubits — after normalizing the logical problem so
 // its largest |coefficient| is 1 (the machine's programmable range).
+//
+// Which qubits and couplers a problem uses depends only on its placement
+// and the chip graph, never on its coefficients.  compile_embedding does
+// that structural work once — the compact qubit map, the coupler chosen for
+// every logical pair, the coupling pattern in coalesced order — into an
+// EmbeddingTemplate, and embed(logical, template, params) is then an O(nnz)
+// value scatter.  EmbeddingCache keeps one template per cached placement.
 #pragma once
 
 #include <cstddef>
@@ -75,9 +82,43 @@ struct EmbeddedProblem {
   double logical_scale = 1.0;  ///< divisor applied to normalize the logical problem
 };
 
+/// The value-independent compile of one placement on one chip graph: the
+/// part of Eqs. 10-12 that every problem of the placement's shape shares.
+struct EmbeddingTemplate {
+  /// pair_slot entry of a logical pair whose chains share no coupler.
+  static constexpr std::uint32_t kNoCoupler = 0xFFFFFFFFu;
+
+  std::size_t num_logical = 0;
+  std::vector<Qubit> compact_to_qubit;             ///< compact -> chip id
+  std::vector<std::vector<std::uint32_t>> chains;  ///< chains, compact indices
+  /// Every coupler a problem can program, sorted by (i, j) as
+  /// IsingModel::coalesce() orders them; `g` is unused.
+  std::vector<qubo::Coupling> pattern;
+  /// Pattern slot of each Eq. 10 chain bond, chain by chain along the path.
+  std::vector<std::uint32_t> bond_slots;
+  /// pair_slot[i * num_logical + j] (i < j): pattern slot of the first
+  /// chain-i x chain-j coupler, or kNoCoupler.
+  std::vector<std::uint32_t> pair_slot;
+};
+
+/// Compiles `embedding` on `graph` into its template.  Throws
+/// InvalidArgument when two chains share a physical qubit.
+EmbeddingTemplate compile_embedding(const Embedding& embedding,
+                                    const ChimeraGraph& graph);
+
 /// Compiles a (fully- or partially-connected) logical Ising model onto the
-/// chip through `embedding` per Eqs. 10-12.  Requires every nonzero logical
-/// coupling to have a physical coupler (guaranteed for clique embeddings).
+/// chip through a compiled placement per Eqs. 10-12: fields split over the
+/// chains, then chain bonds and logical couplings added slot by slot in
+/// input order, each slot from 0.0, dropping slots that sum to exactly 0.0
+/// — the coupling list IsingModel::coalesce() would build.  Throws
+/// InvalidArgument when a nonzero logical coupling has no physical coupler
+/// (impossible for clique embeddings).
+EmbeddedProblem embed(const qubo::IsingModel& logical,
+                      const EmbeddingTemplate& compiled,
+                      const EmbedParams& params);
+
+/// compile_embedding then embed: the one-off form for callers without a
+/// cached template.
 EmbeddedProblem embed(const qubo::IsingModel& logical, const Embedding& embedding,
                       const ChimeraGraph& graph, const EmbedParams& params);
 

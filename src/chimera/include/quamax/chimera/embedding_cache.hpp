@@ -1,13 +1,19 @@
 // Shape-keyed cache of compiled Chimera embeddings.
 //
-// Embedding compilation (the placement search of find_clique_embedding /
-// find_parallel_embeddings) depends only on the problem SHAPE — its logical
-// variable count — and the chip graph, never on the problem's coefficients.
-// A C-RAN decode service repeats the same handful of shapes (one per
-// modulation x user-count combination) millions of times, so the placements
+// A placement (find_clique_embedding / find_parallel_embeddings) and its
+// compiled template (compile_embedding: compact map, pair couplers,
+// coalesced coupling pattern) depend only on the problem SHAPE — its
+// logical variable count — and the chip graph, never on the problem's
+// coefficients.  A C-RAN decode service repeats the same handful of shapes
+// (one per modulation x user-count combination) millions of times, so both
 // are computed once and shared: by all worker lanes of serve::DecodeService,
 // and by every ChimeraAnnealer wired to the same cache
-// (ChimeraAnnealer::set_embedding_cache).
+// (ChimeraAnnealer::set_embedding_cache).  Per problem, only the
+// coefficient scatter of embed(logical, template, params) remains.
+//
+// Placements are searched on the first placement or capacity query of a
+// shape; templates are compiled on the first template query, so sizing a
+// wave (capacity, try_capacity) never pays a compile.
 //
 // Thread safety: all lookup methods are safe for concurrent callers.  Cached
 // values are immutable and returned as shared_ptr-to-const, so a reference
@@ -38,15 +44,21 @@ class EmbeddingCache {
   /// The chip graph the cached placements were compiled for.
   const ChimeraGraph& graph() const noexcept { return graph_; }
 
-  /// The single triangle clique embedding for `num_logical` variables
-  /// (find_clique_embedding).  Throws CapacityError when it does not fit.
-  std::shared_ptr<const Embedding> clique(std::size_t num_logical);
-
   /// The maximal set of disjoint clique embeddings for `num_logical`
   /// variables (find_parallel_embeddings at full chip capacity).  Callers
   /// wanting fewer slots use a prefix — the tiling is deterministic, so a
   /// prefix of the maximal set equals a smaller compilation's result.
   std::shared_ptr<const std::vector<Embedding>> parallel(std::size_t num_logical);
+
+  /// The compiled single triangle clique embedding for `num_logical`
+  /// variables (find_clique_embedding, then compile_embedding).  Throws
+  /// CapacityError when it does not fit.
+  std::shared_ptr<const EmbeddingTemplate> clique_template(std::size_t num_logical);
+
+  /// compile_embedding of every parallel(num_logical) slot, in slot order,
+  /// compiled on first use.
+  std::shared_ptr<const std::vector<EmbeddingTemplate>> parallel_templates(
+      std::size_t num_logical);
 
   /// Number of `num_logical`-variable problems one chip anneal can serve —
   /// parallel(num_logical)->size(); the wave-packing capacity bound.
@@ -59,8 +71,8 @@ class EmbeddingCache {
   std::size_t try_capacity(std::size_t num_logical);
 
   /// Rebinds the cache to a new chip topology and discards every cached
-  /// placement — positive AND negative (try_capacity) entries, which would
-  /// otherwise go stale in both directions when a defect map changes
+  /// placement and template — positive AND negative (try_capacity) entries,
+  /// which would otherwise go stale in both directions when a defect map changes
   /// (placements routed through now-dead qubits; shapes marked infeasible
   /// that the new topology might serve).  Values already handed out stay
   /// valid for their holders (shared_ptr-to-const); only the table forgets
@@ -68,16 +80,17 @@ class EmbeddingCache {
   /// to it — survives the swap.
   void invalidate(ChimeraGraph graph);
 
-  /// Drops only the negative try_capacity entries, keeping compiled
-  /// placements.  For callers that learned the infeasibility verdicts under
-  /// transient conditions and want them re-tested.
-  void clear_negative();
-
  private:
+  /// parallel() with mu_ held.
+  const std::shared_ptr<const std::vector<Embedding>>& parallel_locked(
+      std::size_t num_logical);
+
   ChimeraGraph graph_;
   std::mutex mu_;
-  std::map<std::size_t, std::shared_ptr<const Embedding>> clique_;
+  std::map<std::size_t, std::shared_ptr<const EmbeddingTemplate>> clique_;
   std::map<std::size_t, std::shared_ptr<const std::vector<Embedding>>> parallel_;
+  std::map<std::size_t, std::shared_ptr<const std::vector<EmbeddingTemplate>>>
+      parallel_templates_;
   std::set<std::size_t> infeasible_;  ///< shapes that failed to embed
 };
 

@@ -37,6 +37,9 @@ class IsingModel {
  public:
   IsingModel() = default;
   explicit IsingModel(std::size_t num_spins) : field_(num_spins, 0.0) {}
+  /// Adopts fields and an order-normalized coupling list (every i < j <
+  /// fields.size()), as add_coupling would have stored it.
+  IsingModel(std::vector<double> fields, std::vector<Coupling> couplings);
 
   std::size_t num_spins() const noexcept { return field_.size(); }
 

@@ -7,6 +7,14 @@
 
 namespace quamax::qubo {
 
+IsingModel::IsingModel(std::vector<double> fields, std::vector<Coupling> couplings)
+    : field_(std::move(fields)), couplings_(std::move(couplings)) {
+  bool normalized = true;
+  for (const Coupling& c : couplings_)
+    normalized = normalized && c.i < c.j && c.j < field_.size();
+  require(normalized, "IsingModel: couplings need i < j < num_spins");
+}
+
 void IsingModel::add_coupling(std::size_t i, std::size_t j, double g) {
   require(i != j, "IsingModel::add_coupling: self-coupling is a field, not a coupling");
   require(i < num_spins() && j < num_spins(),

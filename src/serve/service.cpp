@@ -72,10 +72,11 @@ double DecodeService::wave_service_us() const {
 // is a pure function of (config, workload).
 ServiceReport DecodeService::run(std::vector<CellJob> jobs) {
   // Checked before the sort: NaN is no strict weak order for stable_sort.
+  // The message is built only on failure: not a string per job.
   for (const CellJob& job : jobs)
-    require(std::isfinite(job.arrival_us),
-            "DecodeService::run: job " + std::to_string(job.id) +
-                " has a non-finite arrival time");
+    if (!std::isfinite(job.arrival_us))
+      throw InvalidArgument("DecodeService::run: job " + std::to_string(job.id) +
+                            " has a non-finite arrival time");
   ServiceReport report;
   if (jobs.empty()) return report;
   std::stable_sort(jobs.begin(), jobs.end(),

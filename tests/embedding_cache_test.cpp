@@ -2,14 +2,17 @@
 // (topology-distinct) keying (ISSUE 5 satellite).
 //
 // The cache backs every serve/sched worker fleet: many lanes hammer it with
-// interleaved clique/parallel/capacity lookups for a handful of shapes, and
-// a multi-device scheduler keys one cache per chip topology.  Contracts:
+// interleaved clique/parallel/template/capacity lookups for a handful of
+// shapes, and a multi-device scheduler keys one cache per chip topology.
+// Contracts:
 //   * concurrent mixed-shape insert/lookup returns ONE immutable placement
 //     object per (cache, shape) — every caller sees the same pointer;
 //   * placements compiled for defect-distinct graphs differ (per-device
 //     keying is real, not cosmetic), and same_topology gates cache sharing;
 //   * try_capacity caches infeasibility (0) without throwing, while
-//     capacity() keeps the throwing contract.
+//     capacity() keeps the throwing contract;
+//   * compiled templates follow their placements: one per slot, compiled
+//     once, dropped by invalidate() but valid for their holders.
 
 #include <gtest/gtest.h>
 
@@ -47,7 +50,8 @@ TEST(EmbeddingCacheTest, ConcurrentMixedShapeInsertAndLookupAgree) {
   // Every thread loops over every shape repeatedly, mixing first-insert
   // compilation with cache hits; all observed pointers per shape must
   // coincide and every capacity must match its placement count.
-  std::vector<std::vector<std::shared_ptr<const Embedding>>> cliques(kThreads);
+  std::vector<std::vector<std::shared_ptr<const EmbeddingTemplate>>> cliques(
+      kThreads);
   std::vector<std::vector<std::shared_ptr<const std::vector<Embedding>>>>
       parallels(kThreads);
   std::atomic<std::size_t> capacity_mismatches{0};
@@ -58,9 +62,11 @@ TEST(EmbeddingCacheTest, ConcurrentMixedShapeInsertAndLookupAgree) {
         // Stagger shape order per thread so first-compilations collide.
         for (std::size_t i = 0; i < shapes.size(); ++i) {
           const std::size_t shape = shapes[(i + t) % shapes.size()];
-          const auto clique = cache.clique(shape);
+          const auto clique = cache.clique_template(shape);
           const auto parallel = cache.parallel(shape);
           if (cache.capacity(shape) != parallel->size()) ++capacity_mismatches;
+          if (cache.parallel_templates(shape)->size() != parallel->size())
+            ++capacity_mismatches;
           if (round == 0) {
             cliques[t].push_back(clique);
             parallels[t].push_back(parallel);
@@ -73,7 +79,7 @@ TEST(EmbeddingCacheTest, ConcurrentMixedShapeInsertAndLookupAgree) {
 
   EXPECT_EQ(capacity_mismatches.load(), 0u);
   for (const std::size_t shape : shapes) {
-    const auto clique = cache.clique(shape);
+    const auto clique = cache.clique_template(shape);
     const auto parallel = cache.parallel(shape);
     EXPECT_EQ(clique->num_logical, shape);
     EXPECT_GE(parallel->size(), 1u);
@@ -129,8 +135,8 @@ TEST(EmbeddingCacheTest, FailedSearchLeavesNoPoisonedEntryBehind) {
   EmbeddingCache cache{dead_row_graph()};
   EXPECT_THROW(cache.capacity(16), CapacityError);
   EXPECT_EQ(cache.try_capacity(16), 0u);
-  EXPECT_THROW(cache.clique(16), CapacityError);
-  EXPECT_THROW(cache.clique(16), CapacityError);  // still throws, no null hit
+  EXPECT_THROW(cache.clique_template(16), CapacityError);
+  EXPECT_THROW(cache.clique_template(16), CapacityError);  // no null hit
 }
 
 TEST(EmbeddingCacheTest, InvalidateSwapsTopologyAndPreservesHandedOutPointers) {
@@ -139,33 +145,39 @@ TEST(EmbeddingCacheTest, InvalidateSwapsTopologyAndPreservesHandedOutPointers) {
   // DeviceSet keep their shared_ptr), already-handed-out placements stay
   // valid immutable objects, and fresh lookups compile on the new topology.
   EmbeddingCache cache{ChimeraGraph()};
-  const auto clique = cache.clique(8);
+  const auto clique = cache.clique_template(8);
   const auto parallel = cache.parallel(8);
+  const auto templates = cache.parallel_templates(8);
   const std::size_t pristine_cap = cache.capacity(8);
   EXPECT_GT(cache.capacity(16), 0u);  // feasible (and cached) pre-growth
 
   cache.invalidate(dead_row_graph());
   ASSERT_TRUE(cache.graph().same_topology(dead_row_graph()));
-  // The old placement objects are untouched by the swap.
+  // The old placement and template objects are untouched by the swap.
   EXPECT_EQ(clique->num_logical, 8u);
   EXPECT_EQ(parallel->size(), pristine_cap);
+  ASSERT_EQ(templates->size(), pristine_cap);
+  for (std::size_t s = 0; s < pristine_cap; ++s)
+    EXPECT_EQ(templates->at(s).compact_to_qubit,
+              compile_embedding((*parallel)[s], ChimeraGraph()).compact_to_qubit);
   // Fresh lookups see the defective chip: fewer shape-8 slots, and shape 16
   // (cached feasible before on the pristine chip) now reports infeasible —
   // the negative table was rebuilt too.
   EXPECT_LT(cache.capacity(8), pristine_cap);
   EXPECT_NE(cache.parallel(8), parallel);
   EXPECT_EQ(cache.try_capacity(16), 0u);
-}
-
-TEST(EmbeddingCacheTest, ClearNegativeDropsOnlyInfeasibilityEntries) {
-  EmbeddingCache cache{dead_row_graph()};
-  EXPECT_EQ(cache.try_capacity(16), 0u);  // pays the failed search
-  const auto parallel8 = cache.parallel(8);
-  cache.clear_negative();
-  // Positive entries survive (same shared object); the negative entry is
-  // re-probed from scratch (and, topology unchanged, re-fails).
-  EXPECT_EQ(cache.parallel(8), parallel8);
-  EXPECT_EQ(cache.try_capacity(16), 0u);
+  // A fresh template is compiled against the new graph's placements.
+  const auto fresh = cache.parallel_templates(8);
+  EXPECT_NE(fresh, templates);
+  ASSERT_EQ(fresh->size(), cache.capacity(8));
+  for (std::size_t s = 0; s < fresh->size(); ++s) {
+    std::vector<Qubit> qubits;
+    for (const auto& chain : (*cache.parallel(8))[s].chains)
+      qubits.insert(qubits.end(), chain.begin(), chain.end());
+    EXPECT_EQ(fresh->at(s).compact_to_qubit, qubits);
+    for (const Qubit q : fresh->at(s).compact_to_qubit)
+      EXPECT_TRUE(cache.graph().is_working(q));
+  }
 }
 
 TEST(EmbeddingCacheTest, AnnealerRejectsTopologyMismatchedCache) {

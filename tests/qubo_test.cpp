@@ -54,6 +54,17 @@ TEST(IsingModelTest, SelfCouplingThrows) {
   EXPECT_THROW(m.add_coupling(0, 3, 1.0), InvalidArgument);
 }
 
+TEST(IsingModelTest, AdoptedCouplingsMustBeNormalized) {
+  const IsingModel m({0.5, -1.0, 0.0}, {{0, 2, 1.5}});
+  EXPECT_EQ(m.num_spins(), 3u);
+  EXPECT_EQ(m.field(1), -1.0);
+  ASSERT_EQ(m.couplings().size(), 1u);
+  EXPECT_EQ(m.couplings()[0].g, 1.5);
+  EXPECT_THROW(IsingModel({0.0, 0.0, 0.0}, {{2, 0, 1.0}}), InvalidArgument);
+  EXPECT_THROW(IsingModel({0.0, 0.0, 0.0}, {{1, 1, 1.0}}), InvalidArgument);
+  EXPECT_THROW(IsingModel({0.0, 0.0, 0.0}, {{0, 3, 1.0}}), InvalidArgument);
+}
+
 TEST(IsingModelTest, CoalesceMergesDuplicates) {
   IsingModel m(2);
   m.add_coupling(0, 1, 1.0);

@@ -109,30 +109,32 @@ void BM_SaAnnealEmbedded(benchmark::State& state) {
 }
 BENCHMARK(BM_SaAnnealEmbedded)->Arg(16)->Arg(36)->Arg(60);
 
-// The merged-wave problem ChimeraAnnealer::sample_batch anneals: as many
-// disjoint 16-variable clique embeddings as fit on the chip, compiled and
-// merged into ONE chip-wide Ising model (chimera::merge_embedded — the
-// exact code path sample_batch uses) with all chains registered as
-// collective-move groups.  This is the hottest input shape in the system
-// (every §4-parallelized decode sweeps it), so it is the throughput yard-
-// stick for the scalar-vs-batched kernel comparison.
-const chimera::MergedWave& merged_wave_problem() {
-  static const chimera::MergedWave wave = [] {
+// The wave ChimeraAnnealer::sample_batch anneals: as many disjoint
+// 16-variable clique embeddings as fit on the chip, scattered into ONE
+// chip-wide Ising model by the wave embed (chimera::embed over the compiled
+// tiling — the exact code path sample_batch uses) with all chains
+// registered as collective-move groups.  This is the hottest input shape in
+// the system (every §4-parallelized decode sweeps it), so it is the
+// throughput yardstick for the scalar-vs-batched kernel comparison.
+const chimera::EmbeddedProblem& merged_wave_problem() {
+  static const chimera::EmbeddedProblem wave = [] {
     const chimera::ChimeraGraph chip(16);
     const std::size_t n = 16;  // logical variables per slot (16-user BPSK)
-    const auto slots = chimera::find_parallel_embeddings(n, 64, chip);
+    std::vector<chimera::EmbeddingTemplate> slots;
+    for (const auto& slot : chimera::find_parallel_embeddings(n, 64, chip))
+      slots.push_back(chimera::compile_embedding(slot, chip));
     Rng rng{0x3A7E};
-    std::vector<chimera::EmbeddedProblem> embedded;
-    for (const auto& slot : slots) {
+    std::vector<qubo::IsingModel> logical;
+    for (std::size_t s = 0; s < slots.size(); ++s) {
       // One random clique instance per slot ("identical or not" — §4).
-      qubo::IsingModel logical(n);
-      for (std::size_t i = 0; i < n; ++i) logical.field(i) = rng.normal();
+      qubo::IsingModel& m = logical.emplace_back(n);
+      for (std::size_t i = 0; i < n; ++i) m.field(i) = rng.normal();
       for (std::size_t i = 0; i < n; ++i)
-        for (std::size_t j = i + 1; j < n; ++j)
-          logical.add_coupling(i, j, rng.normal());
-      embedded.push_back(chimera::embed(logical, slot, chip, chimera::EmbedParams{}));
+        for (std::size_t j = i + 1; j < n; ++j) m.add_coupling(i, j, rng.normal());
     }
-    return chimera::merge_embedded(embedded);
+    std::vector<const qubo::IsingModel*> problems;
+    for (const auto& m : logical) problems.push_back(&m);
+    return chimera::embed(problems, slots, chimera::EmbedParams{});
   }();
   return wave;
 }
@@ -146,7 +148,7 @@ const anneal::SaEngine& merged_wave_engine() {
   return engine;
 }
 
-// R scalar anneal() calls on the merged wave — the per-sample baseline the
+// R scalar anneal() calls on the chip-wide wave — the per-sample baseline the
 // annealers used before the batched kernel.  items/s = spin-updates/s.
 void BM_SaSweepScalar(benchmark::State& state) {
   const auto R = static_cast<std::size_t>(state.range(0));

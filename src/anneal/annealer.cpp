@@ -94,52 +94,28 @@ std::vector<qubo::SpinVec> ChimeraAnnealer::sample(const qubo::IsingModel& probl
                                                    Rng& rng) {
   require(num_anneals >= 1, "ChimeraAnnealer::sample: need at least one anneal");
 
+  // The clique placement, not parallel slot 0: on a defective chip the
+  // clique search may place the problem off the tiling grid.
   const std::shared_ptr<const chimera::EmbeddingTemplate> compiled =
       embeddings_->clique_template(problem.num_spins());
-  const chimera::EmbeddedProblem embedded =
-      chimera::embed(problem, *compiled, config_.embed);
 
-  SaEngine engine(embedded.physical);
-  // Chain-collective moves: the classical counterpart of the annealer's
-  // coherent multi-qubit dynamics (see sa_engine.hpp).
-  if (config_.chain_collective_moves) engine.set_groups(embedded.chains);
-  const std::vector<double> betas = config_.schedule.betas();
-
-  // Reverse annealing: broadcast the logical warm-start state along chains.
-  qubo::SpinVec physical_initial;
-  const qubo::SpinVec* initial = nullptr;
+  // Reverse annealing: the logical warm-start state seeds every anneal.
+  const qubo::SpinVec* seed = nullptr;
   if (config_.schedule.reverse) {
     require(initial_state_.has_value(),
             "ChimeraAnnealer: reverse annealing needs set_initial_state()");
     require(initial_state_->size() == problem.num_spins(),
             "ChimeraAnnealer: initial state size does not match the problem");
-    physical_initial.resize(embedded.physical.num_spins());
-    for (std::size_t i = 0; i < embedded.chains.size(); ++i)
-      for (const std::uint32_t q : embedded.chains[i])
-        physical_initial[q] = (*initial_state_)[i];
-    initial = &physical_initial;
+    seed = &*initial_state_;
   }
 
-  // Standard dynamic range + gauge averaging cancel the ICE mean shift.
-  IceConfig ice = config_.ice;
-  ice.suppress_bias =
-      ice.suppress_bias || (config_.gauge_averaging && !config_.embed.improved_range);
-
-  // Fan the anneals across the batch runtime in replica blocks: anneal `a`
-  // draws its ICE realization, SA trajectory, and tie-breaks from stream
-  // `a` whatever block it lands in, so samples are bit-identical at any
-  // batch_replicas/num_threads setting — the engine is shared read-only.
-  std::vector<qubo::SpinVec> raw(num_anneals);
-  std::vector<std::size_t> broken(num_anneals, 0);
-  core::run_blocks(
-      pool(), num_anneals, config_.batch_replicas, rng,
-      [&](std::size_t begin, std::vector<Rng>& streams) {
-        const std::vector<qubo::SpinVec> physical = anneal_replica_block(
-            engine, ice, betas, streams, initial, config_.accept_mode);
-        for (std::size_t j = 0; j < streams.size(); ++j)
-          raw[begin + j] = chimera::unembed(physical[j], embedded, streams[j],
-                                            &broken[begin + j]);
-      });
+  const qubo::IsingModel* const wave = &problem;
+  std::vector<std::size_t> broken;
+  std::vector<qubo::SpinVec> raw = std::move(
+      decode_waves({&wave, 1}, {compiled.get(), 1},
+                   {&seed, seed != nullptr ? 1u : 0u}, config_.schedule,
+                   num_anneals, rng, &broken)
+          .front());
 
   std::size_t broken_total = 0;
   for (const std::size_t b : broken) broken_total += b;
@@ -161,8 +137,7 @@ std::vector<std::vector<qubo::SpinVec>> ChimeraAnnealer::sample_batch(
   require(!config_.schedule.reverse,
           "sample_batch: reverse annealing needs per-problem seeds; use "
           "sample_batch_seeded");
-  return sample_batch_impl(problems, nullptr, config_.schedule, num_anneals,
-                           rng);
+  return sample_batch_impl(problems, {}, config_.schedule, num_anneals, rng);
 }
 
 std::vector<std::vector<qubo::SpinVec>> ChimeraAnnealer::sample_batch_seeded(
@@ -180,97 +155,90 @@ std::vector<std::vector<qubo::SpinVec>> ChimeraAnnealer::sample_batch_seeded(
                 initial_states[s]->size() == problems[s]->num_spins(),
             "sample_batch_seeded: each initial state must match its problem's "
             "variable count");
-  return sample_batch_impl(problems, &initial_states, schedule, num_anneals,
+  return sample_batch_impl(problems, initial_states, schedule, num_anneals,
                            rng);
 }
 
 std::vector<std::vector<qubo::SpinVec>> ChimeraAnnealer::sample_batch_impl(
-    const std::vector<const qubo::IsingModel*>& problems,
-    const std::vector<const qubo::SpinVec*>* initial_states,
-    const Schedule& schedule, std::size_t num_anneals, Rng& rng) {
+    std::span<const qubo::IsingModel* const> problems,
+    std::span<const qubo::SpinVec* const> seeds, const Schedule& schedule,
+    std::size_t num_anneals, Rng& rng) {
   require(!problems.empty(), "sample_batch: no problems");
   require(num_anneals >= 1, "sample_batch: need at least one anneal");
   const std::size_t n = problems.front()->num_spins();
   for (const auto* p : problems)
     require(p != nullptr && p->num_spins() == n,
             "sample_batch: all problems must have the same variable count");
-
   // Compiled placements come from the shape-keyed cache at full chip
   // capacity; a prefix of the maximal tiling equals what a smaller
-  // compilation would return, so only min(capacity, wave size) slots are
-  // used per wave.
-  const std::shared_ptr<const std::vector<chimera::EmbeddingTemplate>> slots_all =
-      embeddings_->parallel_templates(n);
-  const std::size_t num_slots = std::min(slots_all->size(), problems.size());
+  // compilation would return, so a wave of k problems uses slots [0, k).
+  return decode_waves(problems, *embeddings_->parallel_templates(n), seeds,
+                      schedule, num_anneals, rng, nullptr);
+}
+
+std::vector<std::vector<qubo::SpinVec>> ChimeraAnnealer::decode_waves(
+    std::span<const qubo::IsingModel* const> problems,
+    std::span<const chimera::EmbeddingTemplate> slots,
+    std::span<const qubo::SpinVec* const> seeds, const Schedule& schedule,
+    std::size_t num_anneals, Rng& rng, std::vector<std::size_t>* broken) {
+  const std::size_t n = problems.front()->num_spins();
   const std::vector<double> betas = schedule.betas();
 
+  // Standard dynamic range + gauge averaging cancel the ICE mean shift.
   IceConfig ice = config_.ice;
   ice.suppress_bias =
       ice.suppress_bias || (config_.gauge_averaging && !config_.embed.improved_range);
 
-  std::vector<std::vector<qubo::SpinVec>> results(problems.size());
+  std::vector<std::vector<qubo::SpinVec>> results(
+      problems.size(), std::vector<qubo::SpinVec>(num_anneals));
+  if (broken != nullptr) broken->assign(num_anneals, 0);
 
-  // Process the problems in waves of `num_slots` instances per chip anneal.
+  // Process the problems in waves of up to slots.size() instances per chip
+  // anneal.
   for (std::size_t wave_start = 0; wave_start < problems.size();
-       wave_start += num_slots) {
+       wave_start += slots.size()) {
     const std::size_t wave_size =
-        std::min(num_slots, problems.size() - wave_start);
-
-    // Scatter every slot's coefficients (fanned across the batch runtime:
-    // each slot's embedding is a pure function of its problem and compiled
-    // placement, written to a per-index slot) and merge into one chip-wide
-    // Ising problem.
-    std::vector<chimera::EmbeddedProblem> embedded(wave_size);
-    pool().parallel_for(wave_size, [&](std::size_t s) {
-      embedded[s] = chimera::embed(*problems[wave_start + s], (*slots_all)[s],
-                                   config_.embed);
-    });
-    const chimera::MergedWave wave = chimera::merge_embedded(embedded);
+        std::min(slots.size(), problems.size() - wave_start);
+    const chimera::EmbeddedProblem wave = chimera::embed(
+        problems.subspan(wave_start, wave_size), slots, config_.embed);
 
     SaEngine engine(wave.physical);
+    // Chain-collective moves: the classical counterpart of the annealer's
+    // coherent multi-qubit dynamics (see sa_engine.hpp).
     if (config_.chain_collective_moves) engine.set_groups(wave.chains);
 
-    // Warm start: broadcast every slot's logical seed along its chains into
-    // the merged physical wave, offset to the slot's qubit range — the
-    // multi-problem analogue of sample()'s reverse-annealing setup.  Every
-    // replica starts from this configuration.
+    // Warm start: broadcast every slot's logical seed along its chains.
+    // Every replica starts from this configuration.
     qubo::SpinVec physical_initial;
     const qubo::SpinVec* initial = nullptr;
-    if (initial_states != nullptr) {
+    if (!seeds.empty()) {
       physical_initial.resize(wave.physical.num_spins());
-      for (std::size_t s = 0; s < wave_size; ++s) {
-        const qubo::SpinVec& seed = *(*initial_states)[wave_start + s];
-        const chimera::EmbeddedProblem& ep = embedded[s];
-        for (std::size_t i = 0; i < ep.chains.size(); ++i)
-          for (const std::uint32_t q : ep.chains[i])
-            physical_initial[wave.offsets[s] + q] = seed[i];
+      for (std::size_t c = 0; c < wave.chains.size(); ++c) {
+        const qubo::SpinVec& seed = *seeds[wave_start + c / n];
+        for (const std::uint32_t q : wave.chains[c]) physical_initial[q] = seed[c % n];
       }
       initial = &physical_initial;
     }
 
-    // One chip anneal decodes the whole wave; the anneal loop fans across
-    // the batch runtime in replica blocks of per-anneal streams, each block
-    // writing slots [begin, begin + R) of every problem in the wave.
-    for (std::size_t s = 0; s < wave_size; ++s)
-      results[wave_start + s].resize(num_anneals);
+    // One chip anneal decodes the whole wave.  The anneals fan across the
+    // batch runtime in replica blocks: anneal `a` draws its ICE
+    // realization, SA trajectory and tie-breaks from stream `a` whatever
+    // block it lands in, so samples are bit-identical at any
+    // batch_replicas/num_threads setting — the engine is shared read-only.
     core::run_blocks(
         pool(), num_anneals, config_.batch_replicas, rng,
         [&](std::size_t begin, std::vector<Rng>& streams) {
           const std::vector<qubo::SpinVec> physical = anneal_replica_block(
               engine, ice, betas, streams, initial, config_.accept_mode);
-          qubo::SpinVec slice;
           for (std::size_t j = 0; j < streams.size(); ++j) {
-            for (std::size_t s = 0; s < wave_size; ++s) {
-              const auto& ep = embedded[s];
-              slice.assign(
-                  physical[j].begin() +
-                      static_cast<std::ptrdiff_t>(wave.offsets[s]),
-                  physical[j].begin() + static_cast<std::ptrdiff_t>(
-                                            wave.offsets[s] +
-                                            ep.physical.num_spins()));
-              results[wave_start + s][begin + j] =
-                  chimera::unembed(slice, ep, streams[j]);
-            }
+            std::size_t broken_chains = 0;
+            const qubo::SpinVec logical =
+                chimera::unembed(physical[j], wave, streams[j], &broken_chains);
+            if (broken != nullptr) (*broken)[begin + j] += broken_chains;
+            for (std::size_t s = 0; s < wave_size; ++s)
+              results[wave_start + s][begin + j].assign(
+                  logical.begin() + static_cast<std::ptrdiff_t>(s * n),
+                  logical.begin() + static_cast<std::ptrdiff_t>((s + 1) * n));
           }
         });
   }

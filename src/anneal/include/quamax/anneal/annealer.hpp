@@ -4,7 +4,10 @@
 //    onto the Chimera chip (clique embedding, |J_F| chains, dynamic-range
 //    normalization), perturb the programmed coefficients with ICE noise per
 //    anneal, run the SA kernel on the *physical* graph, and majority-vote
-//    unembed each anneal's configuration back to logical variables.
+//    unembed each anneal's configuration back to logical variables.  Every
+//    decode runs as waves of problems on disjoint placements (paper §4):
+//    sample() is a one-slot wave on the clique placement, sample_batch()
+//    fills the chip's parallel tiling.
 //
 //  * LogicalAnnealer — ablation: same SA kernel applied directly to the
 //    logical fully-connected problem (no chains, optional ICE).  Isolates
@@ -18,6 +21,7 @@
 #include <cstddef>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "quamax/anneal/ice.hpp"
@@ -94,8 +98,8 @@ class ChimeraAnnealer final : public core::IsingSampler {
 
   /// Warm-started wave decode: sample_batch with a per-problem initial
   /// LOGICAL configuration and a caller-supplied REVERSE schedule.  Each
-  /// slot's seed is broadcast along its chains into the merged physical
-  /// wave (the multi-problem analogue of set_initial_state + sample with
+  /// slot's seed is broadcast along its chains into the chip-wide physical
+  /// wave (the multi-problem form of set_initial_state + sample with
   /// schedule.reverse), so every replica of the wave starts from the
   /// seeds and anneals back out from `schedule.reverse_depth`.  The
   /// schedule must have reverse = true and is used for this call only —
@@ -105,7 +109,8 @@ class ChimeraAnnealer final : public core::IsingSampler {
   /// families (sched::Scheduler's warm_key_ vs decode_key_).
   /// `initial_states` must parallel `problems` with non-null entries of
   /// matching variable count.  Used by the coherent serving path
-  /// (anneal::WarmStartPlanner supplies the seeds).
+  /// (sched::Scheduler supplies each member's predecessor decode from its
+  /// per-sequence seed slot).
   std::vector<std::vector<qubo::SpinVec>> sample_batch_seeded(
       const std::vector<const qubo::IsingModel*>& problems,
       const std::vector<const qubo::SpinVec*>& initial_states,
@@ -158,13 +163,24 @@ class ChimeraAnnealer final : public core::IsingSampler {
   /// The anneal-loop lanes, rebuilt when set_config changes num_threads.
   core::ThreadPool& pool();
 
-  /// Shared wave loop behind sample_batch / sample_batch_seeded:
-  /// `initial_states` null => cold forward anneal (bit-identical to the
-  /// historical sample_batch, including RNG draw order).
+  /// sample_batch / sample_batch_seeded: validates the batch and decodes it
+  /// on the shape's parallel tiling.  Empty `seeds` => cold forward anneal.
   std::vector<std::vector<qubo::SpinVec>> sample_batch_impl(
-      const std::vector<const qubo::IsingModel*>& problems,
-      const std::vector<const qubo::SpinVec*>* initial_states,
-      const Schedule& schedule, std::size_t num_anneals, Rng& rng);
+      std::span<const qubo::IsingModel* const> problems,
+      std::span<const qubo::SpinVec* const> seeds, const Schedule& schedule,
+      std::size_t num_anneals, Rng& rng);
+
+  /// The one anneal loop: decodes problems[p] in waves of slots.size(),
+  /// wave member s on compiled placement slots[s] — embed the wave into one
+  /// chip-wide model, broadcast `seeds` (one per problem, or empty) along
+  /// the chains, anneal num_anneals replica blocks from one run_blocks key
+  /// per wave, majority-vote unembed.  `broken`, when non-null, receives
+  /// each anneal's broken-chain count summed over the waves.
+  std::vector<std::vector<qubo::SpinVec>> decode_waves(
+      std::span<const qubo::IsingModel* const> problems,
+      std::span<const chimera::EmbeddingTemplate> slots,
+      std::span<const qubo::SpinVec* const> seeds, const Schedule& schedule,
+      std::size_t num_anneals, Rng& rng, std::vector<std::size_t>* broken);
 
   AnnealerConfig config_;
   chimera::ChimeraGraph graph_;

@@ -159,55 +159,87 @@ EmbeddingTemplate compile_embedding(const Embedding& embedding,
   return out;
 }
 
+EmbeddedProblem embed(std::span<const qubo::IsingModel* const> problems,
+                      std::span<const EmbeddingTemplate> slots,
+                      const EmbedParams& params) {
+  QUAMAX_PROF_SCOPE("chimera.embed");
+  require(!problems.empty() && problems.size() <= slots.size(),
+          "embed: need one compiled slot per problem");
+  require(params.jf > 0.0, "embed: |J_F| must be positive");
+  const double chain_coupling = params.improved_range ? -2.0 : -1.0;
+
+  EmbeddedProblem out;
+  std::size_t num_qubits = 0;
+  std::size_t num_couplers = 0;
+  for (std::size_t s = 0; s < problems.size(); ++s) {
+    num_qubits += slots[s].compact_to_qubit.size();
+    num_couplers += slots[s].pattern.size();
+  }
+  out.compact_to_qubit.reserve(num_qubits);
+  out.chains.reserve(problems.size() * slots[0].chains.size());
+  out.logical_scales.reserve(problems.size());
+  std::vector<double> fields(num_qubits, 0.0);
+  std::vector<qubo::Coupling> couplings;
+  couplings.reserve(num_couplers);
+  std::vector<double> values;  // per pattern entry
+
+  for (std::size_t s = 0; s < problems.size(); ++s) {
+    const qubo::IsingModel& logical = *problems[s];
+    const EmbeddingTemplate& compiled = slots[s];
+    const std::size_t n = compiled.num_logical;
+    require(n == logical.num_spins(),
+            "embed: embedding size does not match problem");
+    const auto first = static_cast<std::uint32_t>(out.compact_to_qubit.size());
+    out.compact_to_qubit.insert(out.compact_to_qubit.end(),
+                                compiled.compact_to_qubit.begin(),
+                                compiled.compact_to_qubit.end());
+    for (const auto& chain : compiled.chains) {
+      std::vector<std::uint32_t>& shifted = out.chains.emplace_back(chain);
+      for (std::uint32_t& q : shifted) q += first;
+    }
+
+    // Dynamic-range normalization: the chip programs couplings in [-1, +1]
+    // (negative end doubled to -2 with improved range), so each logical
+    // problem is rescaled to unit max |coefficient| before Eqs. 10-12
+    // divide by |J_F|.
+    const double max_coeff = logical.max_abs_coefficient();
+    const double scale = (max_coeff > 0.0) ? max_coeff : 1.0;
+    out.logical_scales.push_back(scale);
+
+    // Eq. 11: fields split evenly across the chain, divided by |J_F|.
+    for (std::size_t i = 0; i < n; ++i) {
+      const double share = logical.field(i) / scale / params.jf /
+                           static_cast<double>(compiled.chains[i].size());
+      for (std::uint32_t q : compiled.chains[i]) fields[first + q] += share;
+    }
+
+    // Eq. 10 chain bonds, then Eq. 12 logical couplings in input order,
+    // each accumulated into its pattern entry from 0.0.
+    values.assign(compiled.pattern.size(), 0.0);
+    for (const std::uint32_t k : compiled.bond_slots) values[k] += chain_coupling;
+    for (const qubo::Coupling& c : logical.couplings()) {
+      if (c.g == 0.0) continue;
+      const std::uint32_t k = compiled.pair_slot[c.i * n + c.j];
+      if (k == EmbeddingTemplate::kNoCoupler)
+        throw InvalidArgument(
+            "embed: logical coupling has no physical coupler (not a clique "
+            "embedding?)");
+      values[k] += c.g / scale / params.jf;
+    }
+    for (std::size_t k = 0; k < values.size(); ++k)
+      if (values[k] != 0.0)
+        couplings.push_back({first + compiled.pattern[k].i,
+                             first + compiled.pattern[k].j, values[k]});
+  }
+  out.physical = qubo::IsingModel(std::move(fields), std::move(couplings));
+  return out;
+}
+
 EmbeddedProblem embed(const qubo::IsingModel& logical,
                       const EmbeddingTemplate& compiled,
                       const EmbedParams& params) {
-  QUAMAX_PROF_SCOPE("chimera.embed");
-  const std::size_t n = compiled.num_logical;
-  require(n == logical.num_spins(),
-          "embed: embedding size does not match problem");
-  require(params.jf > 0.0, "embed: |J_F| must be positive");
-
-  EmbeddedProblem out;
-  out.compact_to_qubit = compiled.compact_to_qubit;
-  out.chains = compiled.chains;
-
-  // Dynamic-range normalization: the chip programs couplings in [-1, +1]
-  // (negative end doubled to -2 with improved range), so the logical problem
-  // is rescaled to unit max |coefficient| before Eqs. 10-12 divide by |J_F|.
-  const double max_coeff = logical.max_abs_coefficient();
-  out.logical_scale = (max_coeff > 0.0) ? max_coeff : 1.0;
-  const double chain_coupling = params.improved_range ? -2.0 : -1.0;
-
-  // Eq. 11: fields split evenly across the chain, divided by |J_F|.
-  std::vector<double> fields(compiled.compact_to_qubit.size(), 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double share = logical.field(i) / out.logical_scale / params.jf /
-                         static_cast<double>(compiled.chains[i].size());
-    for (std::uint32_t q : compiled.chains[i]) fields[q] += share;
-  }
-
-  // Eq. 10 chain bonds, then Eq. 12 logical couplings in input order, each
-  // accumulated into its pattern slot from 0.0.
-  std::vector<double> slot(compiled.pattern.size(), 0.0);
-  for (const std::uint32_t s : compiled.bond_slots) slot[s] += chain_coupling;
-  for (const qubo::Coupling& c : logical.couplings()) {
-    if (c.g == 0.0) continue;
-    const std::uint32_t s = compiled.pair_slot[c.i * n + c.j];
-    if (s == EmbeddingTemplate::kNoCoupler)
-      throw InvalidArgument(
-          "embed: logical coupling has no physical coupler (not a clique "
-          "embedding?)");
-    slot[s] += c.g / out.logical_scale / params.jf;
-  }
-
-  std::vector<qubo::Coupling> couplings;
-  couplings.reserve(slot.size());
-  for (std::size_t s = 0; s < slot.size(); ++s)
-    if (slot[s] != 0.0)
-      couplings.push_back({compiled.pattern[s].i, compiled.pattern[s].j, slot[s]});
-  out.physical = qubo::IsingModel(std::move(fields), std::move(couplings));
-  return out;
+  const qubo::IsingModel* const problem = &logical;
+  return embed({&problem, 1}, {&compiled, 1}, params);
 }
 
 EmbeddedProblem embed(const qubo::IsingModel& logical, const Embedding& embedding,
@@ -260,32 +292,6 @@ double parallelization_factor(std::size_t num_logical, const ChimeraGraph& graph
   const std::size_t chain = (num_logical + shore - 1) / shore + 1;
   const double used = static_cast<double>(num_logical * chain);
   return std::max(1.0, static_cast<double>(graph.num_qubits()) / used);
-}
-
-MergedWave merge_embedded(const std::vector<EmbeddedProblem>& embedded) {
-  MergedWave wave;
-  std::size_t total_spins = 0;
-  for (const EmbeddedProblem& ep : embedded) {
-    wave.offsets.push_back(total_spins);
-    total_spins += ep.physical.num_spins();
-  }
-  wave.physical = qubo::IsingModel(total_spins);
-  for (std::size_t s = 0; s < embedded.size(); ++s) {
-    const EmbeddedProblem& ep = embedded[s];
-    const std::size_t off = wave.offsets[s];
-    for (std::size_t i = 0; i < ep.physical.num_spins(); ++i)
-      wave.physical.field(off + i) = ep.physical.field(i);
-    for (const qubo::Coupling& c : ep.physical.couplings())
-      wave.physical.add_coupling(off + c.i, off + c.j, c.g);
-    for (const auto& chain : ep.chains) {
-      std::vector<std::uint32_t> shifted;
-      shifted.reserve(chain.size());
-      for (const std::uint32_t q : chain)
-        shifted.push_back(static_cast<std::uint32_t>(off + q));
-      wave.chains.push_back(std::move(shifted));
-    }
-  }
-  return wave;
 }
 
 }  // namespace quamax::chimera

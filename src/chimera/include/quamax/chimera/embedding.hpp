@@ -21,11 +21,17 @@
 // and the chip graph, never on its coefficients.  compile_embedding does
 // that structural work once — the compact qubit map, the coupler chosen for
 // every logical pair, the coupling pattern in coalesced order — into an
-// EmbeddingTemplate, and embed(logical, template, params) is then an O(nnz)
-// value scatter.  EmbeddingCache keeps one template per cached placement.
+// EmbeddingTemplate, and embed() is then an O(nnz) value scatter.
+// EmbeddingCache keeps one template per cached placement.
+//
+// Paper §4 parallelization: a wave of problems on disjoint placements is
+// one chip-wide EmbeddedProblem.  embed(problems, slots, params) scatters
+// every slot's values straight into it, each slot's compact qubits after
+// the previous slot's; a single problem is the one-slot wave.
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "quamax/chimera/graph.hpp"
@@ -74,12 +80,15 @@ struct EmbedParams {
   bool improved_range = false; ///< extended coupler dynamic range (chain -2)
 };
 
-/// The embedded Ising problem over compact physical indices 0..P-1.
+/// A wave of embedded Ising problems over compact physical indices 0..P-1:
+/// slot s's qubits follow slot s-1's, and its chains are chains
+/// [s * N, (s + 1) * N) for N logical variables per slot.
 struct EmbeddedProblem {
   qubo::IsingModel physical;
   std::vector<Qubit> compact_to_qubit;             ///< compact -> chip id
   std::vector<std::vector<std::uint32_t>> chains;  ///< chains, compact indices
-  double logical_scale = 1.0;  ///< divisor applied to normalize the logical problem
+  /// Per slot: the divisor applied to normalize its logical problem.
+  std::vector<double> logical_scales;
 };
 
 /// The value-independent compile of one placement on one chip graph: the
@@ -106,13 +115,20 @@ struct EmbeddingTemplate {
 EmbeddingTemplate compile_embedding(const Embedding& embedding,
                                     const ChimeraGraph& graph);
 
-/// Compiles a (fully- or partially-connected) logical Ising model onto the
-/// chip through a compiled placement per Eqs. 10-12: fields split over the
-/// chains, then chain bonds and logical couplings added slot by slot in
-/// input order, each slot from 0.0, dropping slots that sum to exactly 0.0
-/// — the coupling list IsingModel::coalesce() would build.  Throws
-/// InvalidArgument when a nonzero logical coupling has no physical coupler
-/// (impossible for clique embeddings).
+/// Compiles a wave of (fully- or partially-connected) logical Ising models
+/// onto the chip per Eqs. 10-12, problems[s] through compiled placement
+/// slots[s] (problems.size() <= slots.size(), disjoint placements).  Per
+/// problem: fields split over the chains, then chain bonds and logical
+/// couplings added into their pattern entries in input order, each entry
+/// from 0.0, dropping entries that sum to exactly 0.0 — the coupling list
+/// IsingModel::coalesce() would build — shifted to the problem's first
+/// compact index.  Throws InvalidArgument when a nonzero logical coupling has no
+/// physical coupler (impossible for clique embeddings).
+EmbeddedProblem embed(std::span<const qubo::IsingModel* const> problems,
+                      std::span<const EmbeddingTemplate> slots,
+                      const EmbedParams& params);
+
+/// The one-slot wave.
 EmbeddedProblem embed(const qubo::IsingModel& logical,
                       const EmbeddingTemplate& compiled,
                       const EmbedParams& params);
@@ -122,26 +138,11 @@ EmbeddedProblem embed(const qubo::IsingModel& logical,
 EmbeddedProblem embed(const qubo::IsingModel& logical, const Embedding& embedding,
                       const ChimeraGraph& graph, const EmbedParams& params);
 
-/// A wave of compiled embeddings merged into one chip-wide Ising model —
-/// the §4-parallelized input shape ChimeraAnnealer::sample_batch anneals
-/// (and the SA kernel's throughput yardstick in bench_micro_kernels).
-struct MergedWave {
-  qubo::IsingModel physical{0};
-  /// Every problem's chains shifted into the merged index space (the
-  /// collective-move groups for the merged problem).
-  std::vector<std::vector<std::uint32_t>> chains;
-  /// Problem s's physical spins occupy indices [offsets[s], offsets[s] +
-  /// embedded[s].physical.num_spins()) of `physical`.
-  std::vector<std::size_t> offsets;
-};
-
-/// Merges disjointly-embedded problems (see find_parallel_embeddings) into
-/// one chip-wide model; one anneal of the result advances the whole wave.
-MergedWave merge_embedded(const std::vector<EmbeddedProblem>& embedded);
-
 /// Majority-vote unembedding (paper §3.3): each logical spin is the majority
-/// of its chain; exact ties are randomized.  `broken_chains`, when non-null,
-/// receives the number of chains that were not unanimous.
+/// of its chain; exact ties are randomized, chain by chain from `rng`.
+/// Returns one spin per chain, so a wave's slots follow each other.
+/// `broken_chains`, when non-null, receives the number of chains that were
+/// not unanimous.
 qubo::SpinVec unembed(const qubo::SpinVec& physical_spins,
                       const EmbeddedProblem& problem, Rng& rng,
                       std::size_t* broken_chains = nullptr);

@@ -31,7 +31,13 @@ class CapacityError : public Error {
   using Error::Error;
 };
 
-/// Throws InvalidArgument with `message` unless `condition` holds.
+/// Throws InvalidArgument with `message` unless `condition` holds.  A
+/// literal message stays a pointer until the check fails.
+inline void require(bool condition, const char* message) {
+  if (!condition) throw InvalidArgument(message);
+}
+
+/// As above, for a message the caller has already built.
 inline void require(bool condition, const std::string& message) {
   if (!condition) throw InvalidArgument(message);
 }

@@ -13,7 +13,7 @@
 // Determinism: evaluation is a pure fold over a finalized
 // WindowedCollector — no RNG, no clocks, no state outside the series — so
 // the alert list is exactly as reproducible as the serving digest.  Alerts
-// can be injected into any TraceSink (rendered by write_chrome_trace as a
+// can be injected into a TraceLog (rendered by write_chrome_trace as a
 // dedicated "slo alerts" track) and summarized machine-readably in the
 // --metrics file.
 //
@@ -73,9 +73,9 @@ class SloMonitor {
   /// order.
   std::vector<SloReport> evaluate(const WindowedCollector& collector) const;
 
-  /// Injects every alert into `sink` (e.g. the TraceLog about to be written
-  /// as a Chrome trace), in (spec, window) order.
-  static void annotate(const std::vector<SloReport>& reports, TraceSink& sink);
+  /// Injects every alert into `log` (e.g. the trace about to be written as
+  /// a Chrome trace), in (spec, window) order.
+  static void annotate(const std::vector<SloReport>& reports, TraceLog& log);
 
  private:
   std::vector<SloSpec> specs_;

@@ -165,9 +165,9 @@ std::vector<SloReport> SloMonitor::evaluate(
 }
 
 void SloMonitor::annotate(const std::vector<SloReport>& reports,
-                          TraceSink& sink) {
+                          TraceLog& log) {
   for (const auto& report : reports)
-    for (const auto& alert : report.alerts) sink.on_alert(alert);
+    for (const auto& alert : report.alerts) log.on_alert(alert);
 }
 
 }  // namespace quamax::obs

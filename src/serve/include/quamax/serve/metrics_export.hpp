@@ -42,11 +42,10 @@ struct WindowedView {
 /// and per-device power model come from cfg.device_specs, or num_devices
 /// copies of the default 25 kW model when specs are empty), evaluates
 /// `opts.slo`, and — when `alert_sink` is non-null — injects every alert
-/// into it (pass the TraceLog itself to grow the Chrome-trace alert
-/// track).  Throws quamax::InvalidArgument on a malformed SLO spec.
+/// into it (pass `log` itself to grow the Chrome-trace alert track).  Throws quamax::InvalidArgument on a malformed SLO spec.
 WindowedView window_trace(const obs::TraceLog& log, const ServiceConfig& cfg,
                           const MetricsOptions& opts,
-                          obs::TraceSink* alert_sink = nullptr);
+                          obs::TraceLog* alert_sink = nullptr);
 
 /// One serving binary's observability: the --trace, --prof, --prof-json,
 /// --metrics, --metrics-window and --slo knobs, the TraceLog they observe,

@@ -13,7 +13,7 @@ namespace quamax::serve {
 
 WindowedView window_trace(const obs::TraceLog& log, const ServiceConfig& cfg,
                           const MetricsOptions& opts,
-                          obs::TraceSink* alert_sink) {
+                          obs::TraceLog* alert_sink) {
   std::vector<obs::SloSpec> specs;
   if (!opts.slo.empty()) {
     std::string error;

@@ -197,7 +197,7 @@ TEST(EmbeddedEnergyTest, ChainSatisfiedEmbeddedEnergyIsAffineInLogicalEnergy) {
       for (auto q : ep.chains[i]) physical[q] = logical_spins[i];
     }
     const double expected =
-        logical.energy(logical_spins) / (ep.logical_scale * params.jf) - chain_bonds;
+        logical.energy(logical_spins) / (ep.logical_scales.at(0) * params.jf) - chain_bonds;
     EXPECT_NEAR(ep.physical.energy(physical), expected, 1e-9);
   }
 }
@@ -302,7 +302,7 @@ TEST(EmbedTest, FieldsAreSplitAcrossChains) {
   const Embedding e = find_clique_embedding(3, g);
   const EmbeddedProblem ep = embed(logical, e, g, {.jf = 5.0});
 
-  EXPECT_DOUBLE_EQ(ep.logical_scale, 2.0);
+  EXPECT_DOUBLE_EQ(ep.logical_scales.at(0), 2.0);
   const double expected_share =
       (2.0 / 2.0) / 5.0 / static_cast<double>(e.chain_length());
   for (auto q : ep.chains[0])

@@ -1,7 +1,11 @@
 // chimera::EmbeddingTemplate — the compile-once embedding.  embed() through
 // a compiled template must reproduce, bit for bit, the per-problem compile
 // it replaced (compact map, chain x chain coupler search, coalesce()); the
-// reference below is that compile, kept verbatim as the oracle.
+// reference below is that compile, kept verbatim as the oracle.  The wave
+// embed must likewise reproduce per-slot embeds merged into one chip-wide
+// model by the merge it replaced (reference_merge), and the wave unembed
+// must reproduce per-slot unembeds of each slot's slice, tie coins
+// included.
 
 #include <gtest/gtest.h>
 
@@ -40,13 +44,14 @@ EmbeddedProblem reference_embed(const qubo::IsingModel& logical,
   }
   out.physical = qubo::IsingModel(out.compact_to_qubit.size());
   const double max_coeff = logical.max_abs_coefficient();
-  out.logical_scale = (max_coeff > 0.0) ? max_coeff : 1.0;
+  const double logical_scale = (max_coeff > 0.0) ? max_coeff : 1.0;
+  out.logical_scales = {logical_scale};
   const double chain_coupling = params.improved_range ? -2.0 : -1.0;
   for (const auto& chain : out.chains)
     for (std::size_t c = 0; c + 1 < chain.size(); ++c)
       out.physical.add_coupling(chain[c], chain[c + 1], chain_coupling);
   for (std::size_t i = 0; i < logical.num_spins(); ++i) {
-    const double share = logical.field(i) / out.logical_scale / params.jf /
+    const double share = logical.field(i) / logical_scale / params.jf /
                          static_cast<double>(out.chains[i].size());
     for (std::uint32_t q : out.chains[i]) out.physical.field(q) += share;
   }
@@ -56,7 +61,7 @@ EmbeddedProblem reference_embed(const qubo::IsingModel& logical,
     for (std::uint32_t a : out.chains[c.i]) {
       for (std::uint32_t b : out.chains[c.j]) {
         if (graph.has_coupler(out.compact_to_qubit[a], out.compact_to_qubit[b])) {
-          out.physical.add_coupling(a, b, c.g / out.logical_scale / params.jf);
+          out.physical.add_coupling(a, b, c.g / logical_scale / params.jf);
           placed = true;
           break;
         }
@@ -75,7 +80,10 @@ void expect_identical(const EmbeddedProblem& got, const EmbeddedProblem& want,
   SCOPED_TRACE(what);
   EXPECT_EQ(got.compact_to_qubit, want.compact_to_qubit);
   EXPECT_EQ(got.chains, want.chains);
-  EXPECT_EQ(std::memcmp(&got.logical_scale, &want.logical_scale, sizeof(double)), 0);
+  ASSERT_EQ(got.logical_scales.size(), want.logical_scales.size());
+  EXPECT_EQ(std::memcmp(got.logical_scales.data(), want.logical_scales.data(),
+                        got.logical_scales.size() * sizeof(double)),
+            0);
   EXPECT_EQ(got.physical.offset(), want.physical.offset());
   const auto& gf = got.physical.fields();
   const auto& wf = want.physical.fields();
@@ -86,6 +94,40 @@ void expect_identical(const EmbeddedProblem& got, const EmbeddedProblem& want,
   ASSERT_EQ(gc.size(), wc.size());
   EXPECT_EQ(std::memcmp(gc.data(), wc.data(), gc.size() * sizeof(qubo::Coupling)),
             0);
+}
+
+/// The merge the wave scatter replaced: every slot's fields copied and its
+/// coupling list re-added through add_coupling at the slot's offset, chains
+/// shifted into the merged index space; qubit maps and scales concatenated.
+EmbeddedProblem reference_merge(const std::vector<EmbeddedProblem>& embedded) {
+  EmbeddedProblem wave;
+  std::vector<std::size_t> offsets;
+  std::size_t total_spins = 0;
+  for (const EmbeddedProblem& ep : embedded) {
+    offsets.push_back(total_spins);
+    total_spins += ep.physical.num_spins();
+  }
+  wave.physical = qubo::IsingModel(total_spins);
+  for (std::size_t s = 0; s < embedded.size(); ++s) {
+    const EmbeddedProblem& ep = embedded[s];
+    const std::size_t off = offsets[s];
+    for (std::size_t i = 0; i < ep.physical.num_spins(); ++i)
+      wave.physical.field(off + i) = ep.physical.field(i);
+    for (const qubo::Coupling& c : ep.physical.couplings())
+      wave.physical.add_coupling(off + c.i, off + c.j, c.g);
+    for (const auto& chain : ep.chains) {
+      std::vector<std::uint32_t> shifted;
+      shifted.reserve(chain.size());
+      for (const std::uint32_t q : chain)
+        shifted.push_back(static_cast<std::uint32_t>(off + q));
+      wave.chains.push_back(std::move(shifted));
+    }
+    wave.compact_to_qubit.insert(wave.compact_to_qubit.end(),
+                                 ep.compact_to_qubit.begin(),
+                                 ep.compact_to_qubit.end());
+    wave.logical_scales.push_back(ep.logical_scales.at(0));
+  }
+  return wave;
 }
 
 /// Every slot of the chip's parallel tiling, each through its own compiled
@@ -192,6 +234,145 @@ TEST(EmbedTemplateTest, CacheTemplatesMatchFreshCompiles) {
                    "cached clique");
 }
 
+/// A dense logical problem whose couplings include exact zeros, a -0.0 and
+/// a pair that cancels to exactly zero when `tricky`.
+qubo::IsingModel wave_problem(std::size_t n, Rng& rng, bool tricky) {
+  qubo::IsingModel m(n);
+  for (std::size_t i = 0; i < n; ++i) m.field(i) = rng.normal();
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = i + 1; j < n; ++j) m.add_coupling(i, j, rng.normal());
+  if (tricky) {
+    m.field(1) = 0.0;
+    m.add_coupling(0, 2, 0.0);
+    m.add_coupling(3, 1, -0.0);
+    for (const qubo::Coupling& c : std::vector<qubo::Coupling>(m.couplings()))
+      if (c.i == 2 && c.j == 3) m.add_coupling(3, 2, -c.g);  // cancels exactly
+  }
+  return m;
+}
+
+/// The wave embed of `count` problems on the first `count` tiling slots
+/// against per-slot reference embeds merged by reference_merge.
+void expect_wave_identical(std::size_t n, std::size_t count,
+                           const ChimeraGraph& graph, const std::string& what) {
+  const std::vector<Embedding> tiling =
+      find_parallel_embeddings(n, graph.num_qubits(), graph);
+  ASSERT_LE(count, tiling.size()) << what;
+  std::vector<EmbeddingTemplate> slots;
+  for (const Embedding& e : tiling) slots.push_back(compile_embedding(e, graph));
+  Rng rng{0x3A7E + count};
+  std::vector<qubo::IsingModel> logical;
+  for (std::size_t s = 0; s < count; ++s)
+    logical.push_back(wave_problem(n, rng, s % 2 == 1));
+  std::vector<const qubo::IsingModel*> problems;
+  for (const auto& m : logical) problems.push_back(&m);
+  for (const bool improved : {false, true}) {
+    const EmbedParams params{.jf = 0.7, .improved_range = improved};
+    std::vector<EmbeddedProblem> per_slot;
+    for (std::size_t s = 0; s < count; ++s)
+      per_slot.push_back(reference_embed(logical[s], tiling[s], graph, params));
+    expect_identical(embed(problems, slots, params), reference_merge(per_slot),
+                     what + " " + std::to_string(count) + " slots" +
+                         (improved ? " improved" : " standard"));
+  }
+}
+
+TEST(EmbedTemplateTest, WaveScatterMatchesPerSlotEmbedsMerged) {
+  const ChimeraGraph pristine(16);
+  const ChimeraGraph defective = ChimeraGraph::with_defects(16, 17, 123);
+  for (const std::size_t n : {std::size_t{8}, std::size_t{12}, std::size_t{16}}) {
+    const std::string what = std::to_string(n) + " variables";
+    for (const ChimeraGraph* graph : {&pristine, &defective}) {
+      const std::size_t full =
+          find_parallel_embeddings(n, graph->num_qubits(), *graph).size();
+      ASSERT_GT(full, 2u);
+      const std::string chip = graph == &pristine ? " pristine" : " defective";
+      expect_wave_identical(n, 1, *graph, what + chip);
+      expect_wave_identical(n, full / 2 + 1, *graph, what + chip);
+      expect_wave_identical(n, full, *graph, what + chip);
+    }
+  }
+}
+
+TEST(EmbedTemplateTest, WaveWithEmptyAndZeroProblemsMatches) {
+  // All-zero slots between dense ones: no couplings but chain bonds, zero
+  // fields, unit scale.
+  const ChimeraGraph graph(8);
+  const std::size_t n = 8;
+  const std::vector<Embedding> tiling = find_parallel_embeddings(n, 64, graph);
+  ASSERT_GE(tiling.size(), 3u);
+  std::vector<EmbeddingTemplate> slots;
+  for (const Embedding& e : tiling) slots.push_back(compile_embedding(e, graph));
+  Rng rng{0x2E50};
+  const qubo::IsingModel dense = wave_problem(n, rng, true);
+  qubo::IsingModel zero(n);
+  zero.add_coupling(0, 1, 0.0);
+  const std::vector<const qubo::IsingModel*> problems{&zero, &dense, &zero};
+  std::vector<EmbeddedProblem> per_slot;
+  for (std::size_t s = 0; s < problems.size(); ++s)
+    per_slot.push_back(reference_embed(*problems[s], tiling[s], graph, EmbedParams{}));
+  expect_identical(embed(problems, slots, EmbedParams{}), reference_merge(per_slot),
+                   "zero slots");
+}
+
+TEST(EmbedTemplateTest, WaveUnembedMatchesPerSlotUnembedTiesIncluded) {
+  // 12 variables: chains of 4 qubits, so random configurations tie.
+  for (const ChimeraGraph& graph :
+       {ChimeraGraph(16), ChimeraGraph::with_defects(16, 17, 123)}) {
+    const std::size_t n = 12;
+    const std::vector<Embedding> tiling =
+        find_parallel_embeddings(n, graph.num_qubits(), graph);
+    std::vector<EmbeddingTemplate> slots;
+    for (const Embedding& e : tiling) slots.push_back(compile_embedding(e, graph));
+    Rng problem_rng{0x0E1B};
+    std::vector<qubo::IsingModel> logical;
+    for (std::size_t s = 0; s < slots.size(); ++s)
+      logical.push_back(wave_problem(n, problem_rng, false));
+    std::vector<const qubo::IsingModel*> problems;
+    for (const auto& m : logical) problems.push_back(&m);
+    const EmbeddedProblem wave = embed(problems, slots, EmbedParams{});
+    std::vector<EmbeddedProblem> per_slot;
+    for (std::size_t s = 0; s < slots.size(); ++s)
+      per_slot.push_back(embed(logical[s], slots[s], EmbedParams{}));
+
+    Rng spins{0x5917};
+    std::size_t ties_seen = 0;
+    for (int round = 0; round < 16; ++round) {
+      qubo::SpinVec physical(wave.physical.num_spins());
+      for (auto& v : physical) v = spins.coin() ? 1 : -1;
+      Rng wave_rng{0x7135u + static_cast<unsigned>(round)};
+      Rng slot_rng = wave_rng;
+      std::size_t wave_broken = 0;
+      const qubo::SpinVec got = unembed(physical, wave, wave_rng, &wave_broken);
+
+      qubo::SpinVec want;
+      std::size_t want_broken = 0;
+      std::size_t offset = 0;
+      for (const EmbeddedProblem& ep : per_slot) {
+        const qubo::SpinVec slice(
+            physical.begin() + static_cast<std::ptrdiff_t>(offset),
+            physical.begin() +
+                static_cast<std::ptrdiff_t>(offset + ep.physical.num_spins()));
+        std::size_t broken = 0;
+        const qubo::SpinVec l = unembed(slice, ep, slot_rng, &broken);
+        want.insert(want.end(), l.begin(), l.end());
+        want_broken += broken;
+        offset += ep.physical.num_spins();
+        for (const auto& chain : ep.chains) {
+          int vote = 0;
+          for (const std::uint32_t q : chain) vote += slice[q];
+          ties_seen += vote == 0 ? 1 : 0;
+        }
+      }
+      ASSERT_EQ(got.size(), want.size());
+      EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size()), 0) << round;
+      EXPECT_EQ(wave_broken, want_broken) << round;
+      EXPECT_EQ(wave_rng(), slot_rng()) << "tie coins drawn differently";
+    }
+    EXPECT_GT(ties_seen, 0u);
+  }
+}
+
 /// Runs `call`, expecting InvalidArgument whose message contains `needle`.
 template <typename Call>
 void expect_located_error(Call call, const std::string& needle) {
@@ -232,6 +413,21 @@ TEST(EmbedTemplateTest, UncoupledPairIsALocatedErrorOnlyWhenNonzero) {
   coupled.add_coupling(0, 1, 1.0);
   expect_located_error([&] { embed(coupled, compiled, EmbedParams{}); },
                        "no physical coupler");
+}
+
+TEST(EmbedTemplateTest, WaveNeedsACompiledSlotOfEachProblemsSize) {
+  const ChimeraGraph graph(8);
+  std::vector<EmbeddingTemplate> slots;
+  for (const Embedding& e : find_parallel_embeddings(8, 2, graph))
+    slots.push_back(compile_embedding(e, graph));
+  const qubo::IsingModel eight(8);
+  const qubo::IsingModel four(4);
+  const std::vector<const qubo::IsingModel*> three{&eight, &eight, &eight};
+  expect_located_error([&] { embed(three, slots, EmbedParams{}); },
+                       "one compiled slot per problem");
+  const std::vector<const qubo::IsingModel*> mixed{&eight, &four};
+  expect_located_error([&] { embed(mixed, slots, EmbedParams{}); },
+                       "does not match problem");
 }
 
 }  // namespace

@@ -257,7 +257,7 @@ TEST(TraceSinkTest, DropsEmitDropEventsNotDispatches) {
 // The zero-drift contract.
 
 std::string run_digest(std::size_t threads, std::size_t replicas,
-                       std::size_t devices, obs::TraceSink* sink) {
+                       std::size_t devices, obs::TraceLog* sink) {
   serve::ServiceConfig cfg = fast_service(threads, replicas, devices);
   cfg.trace = sink;
   serve::DecodeService service(cfg);

@@ -131,7 +131,7 @@ TEST(EmbeddingProperty, ChainIntactEnergiesAreAffineInLogicalEnergies) {
         for (const auto q : embedded.chains[i]) physical[q] = logical_spins[i];
       }
       const double expected =
-          logical.energy(logical_spins) / (embedded.logical_scale * params.jf) -
+          logical.energy(logical_spins) / (embedded.logical_scales.at(0) * params.jf) -
           chain_bonds;
       EXPECT_NEAR(embedded.physical.energy(physical), expected,
                   1e-9 * (1.0 + std::abs(expected)));
